@@ -4,6 +4,14 @@ A grayscale frame is a 2D numpy array indexed [row, col] == [y, x]. The
 tracker extracts the patch under a box from the previous frame and slides
 it over a dilated search window in the current frame; the box is moved to
 the correlation peak.
+
+The search is Lewis's fast NCC (J. P. Lewis, "Fast Normalized
+Cross-Correlation", Vision Interface 1995): per-offset window sums come
+from integral images of the search window and the cross term from one
+rfft2 product sized to it. Integer frames stay in int64 throughout, the
+FFT cross term rounded back to its exact integer value, so 8-bit frames
+get exact scores; float frames, and integer frames too wide for that, take
+the same formulas in float64.
 """
 
 from __future__ import annotations
@@ -12,13 +20,20 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .geometry import BoundingBox
 
 # NCC scores within this of the max tie for the peak; ties resolve to the
 # smallest displacement so a static scene never drifts.
 _PEAK_TIE_EPS = 1e-12
+
+# Float64 unit roundoff u, and a generous constant C for the forward-error
+# bound of an FFT correlation of an N-pixel search window W with an n-pixel
+# template T: |error| <= C * u * log2(N) * sqrt(n) * |W|_2 * |T|_2 (after
+# Higham, "Accuracy and Stability of Numerical Algorithms", ch. 24). With
+# every value at most m in magnitude, |W|_2 * |T|_2 <= sqrt(N * n) * m**2.
+_UNIT_ROUNDOFF = 2.0**-53
+_FFT_ERROR_CONSTANT = 32.0
 
 
 @dataclass(frozen=True)
@@ -41,6 +56,44 @@ def _raster_bounds(bbox: BoundingBox) -> tuple[int, int, int, int]:
     return x1, y1, x2, y2
 
 
+def _exact_in_int64(template: np.ndarray, search: np.ndarray) -> bool:
+    """True if integer template/search sums fit int64 and rint recovers the FFT cross term.
+
+    Bounds every int64 intermediate by the largest magnitude in either
+    array, and the FFT's float64 error by the bound above. 8-bit frames
+    pass both for templates up to about 380x380 pixels at margin 20.
+    """
+    if template.dtype.kind not in "biu" or search.dtype.kind not in "biu":
+        return False
+    peak = max(max(-int(a.min()), int(a.max())) for a in (template, search))
+    n, size = template.size, search.size
+    if max(n * n, size) * peak * peak >= 2**63:
+        return False
+    fft_error = (
+        _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(math.log2(size), 1.0)
+        * n * math.sqrt(size) * peak * peak
+    )
+    return fft_error < 0.25
+
+
+def _window_sums(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Sum of every shape-sized window of values, from one integral image."""
+    h, w = shape
+    integral = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=values.dtype)
+    np.cumsum(values, axis=0, out=integral[1:, 1:])
+    np.cumsum(integral[1:, 1:], axis=1, out=integral[1:, 1:])
+    return integral[h:, w:] - integral[:-h, w:] - integral[h:, :-w] + integral[:-h, :-w]
+
+
+def _window_cross(search: np.ndarray, template: np.ndarray) -> np.ndarray:
+    """Sum of window * template for every placement, by one rfft2 product."""
+    shape = search.shape
+    spectrum = np.fft.rfft2(search, shape) * np.conj(np.fft.rfft2(template, shape))
+    full = np.fft.irfft2(spectrum, shape)
+    # Placements that fit inside the search window never wrap around.
+    return full[: shape[0] - template.shape[0] + 1, : shape[1] - template.shape[1] + 1]
+
+
 def correlate_track(
     prev_frame: np.ndarray,
     cur_frame: np.ndarray,
@@ -54,8 +107,8 @@ def correlate_track(
     with the degenerate flag set. Raises ValueError if bbox falls outside
     the previous frame or the frames disagree in shape.
     """
-    prev = np.asarray(prev_frame, dtype=np.float64)
-    cur = np.asarray(cur_frame, dtype=np.float64)
+    prev = np.asarray(prev_frame)
+    cur = np.asarray(cur_frame)
     if prev.ndim != 2 or cur.ndim != 2:
         raise ValueError("frames must be 2D grayscale arrays")
     if prev.shape != cur.shape:
@@ -71,9 +124,7 @@ def correlate_track(
         )
 
     template = prev[y1:y2, x1:x2]
-    t_centered = template - template.mean()
-    t_energy = float(np.sum(t_centered * t_centered))
-    if t_energy == 0.0:
+    if template.min() == template.max():
         return CorrelationResult(bbox, 0, 0, degenerate=True, score=0.0)
 
     sx1 = max(0, x1 - search_margin)
@@ -82,25 +133,38 @@ def correlate_track(
     sy2 = min(frame_h, y2 + search_margin)
     search = cur[sy1:sy2, sx1:sx2]
 
-    windows = sliding_window_view(search, template.shape)
     n = template.size
-    # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
-    cross = np.einsum("ijhw,hw->ij", windows, t_centered)
-    win_sum = np.einsum("ijhw->ij", windows)
-    win_sq = np.einsum("ijhw,ijhw->ij", windows, windows)
-    win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
-    denom = np.sqrt(win_energy * t_energy)
+    if _exact_in_int64(template, search):
+        # n-scaled centred sums, exact in int64: a flat window has energy 0.
+        template = template.astype(np.int64)
+        search = search.astype(np.int64)
+        t_sum = int(template.sum())
+        t_energy = n * int(np.sum(template * template)) - t_sum * t_sum
+        win_sum = _window_sums(search, template.shape)
+        win_energy = n * _window_sums(search * search, template.shape) - win_sum * win_sum
+        raw_cross = np.rint(_window_cross(search, template)).astype(np.int64)
+        cross = n * raw_cross - win_sum * t_sum
+    else:
+        # Shift both by the template mean (NCC ignores it) to keep sums small;
+        # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
+        t_mean = float(np.mean(template, dtype=np.float64))
+        template = template.astype(np.float64) - t_mean
+        search = search.astype(np.float64) - t_mean
+        t_energy = float(np.sum(template * template))
+        win_sum = _window_sums(search, template.shape)
+        win_sq = _window_sums(search * search, template.shape)
+        win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
+        cross = _window_cross(search, template)
+
+    denom = np.sqrt(win_energy * float(t_energy))
     with np.errstate(divide="ignore", invalid="ignore"):
         ncc = np.where(denom > 0.0, cross / denom, 0.0)
 
     peak = float(ncc.max())
-    cand_rows, cand_cols = np.nonzero(ncc >= peak - _PEAK_TIE_EPS)
-    best = None
-    for row, col in zip(cand_rows.tolist(), cand_cols.tolist()):
-        dy = (sy1 + row) - y1
-        dx = (sx1 + col) - x1
-        key = (abs(dx) + abs(dy), dy, dx)
-        if best is None or key < best[0]:
-            best = (key, dx, dy)
-    _, dx, dy = best
+    rows, cols = np.nonzero(ncc >= peak - _PEAK_TIE_EPS)
+    dys = rows + (sy1 - y1)
+    dxs = cols + (sx1 - x1)
+    # Smallest |dx| + |dy| wins, then smallest dy, then smallest dx.
+    best = np.lexsort((dxs, dys, np.abs(dxs) + np.abs(dys)))[0]
+    dx, dy = int(dxs[best]), int(dys[best])
     return CorrelationResult(bbox.translate(dx, dy), dx, dy, degenerate=False, score=peak)

@@ -211,16 +211,28 @@ def read_pgm(path: PathLike) -> np.ndarray:
             tokens.append(blob[start:pos])
     if len(tokens) < 4 or tokens[0] not in (b"P5", b"P2"):
         raise FormatError(f"{path}: not a P2/P5 PGM file")
+    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:4]):
+        header = b" ".join(tokens[1:4]).decode("ascii", "replace")
+        raise FormatError(
+            f"{path}: header width, height and maxval must be positive integers, got {header!r}"
+        )
     width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
+    count = width * height
     if tokens[0] == b"P5":
         pos += 1  # single whitespace byte after maxval
-        raster = np.frombuffer(blob, dtype=np.uint8, count=width * height, offset=pos)
+        if len(blob) - pos < count:
+            raise FormatError(
+                f"{path}: raster has {max(len(blob) - pos, 0)} bytes, expected {count}"
+            )
+        raster = np.frombuffer(blob, dtype=np.uint8, count=count, offset=pos)
     else:
         values = blob[pos:].split()
-        if len(values) != width * height:
-            raise FormatError(f"{path}: expected {width * height} samples, got {len(values)}")
+        if len(values) != count:
+            raise FormatError(f"{path}: expected {count} samples, got {len(values)}")
+        if not all(v.isdigit() and int(v) <= maxval for v in values):
+            raise FormatError(f"{path}: samples must be integers in [0, {maxval}]")
         raster = np.array([int(v) for v in values], dtype=np.uint8)
     return raster.reshape((height, width)).copy()
 

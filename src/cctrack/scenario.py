@@ -168,7 +168,6 @@ class Scenario:
     config: ScenarioConfig
     ground_truth: list[GroundTruthRecord] = field(default_factory=list)
     detections: list[Detection] = field(default_factory=list)
-    frames: Optional[list[np.ndarray]] = None
 
 
 def _reflect(value: float, lo: float, hi: float) -> float:

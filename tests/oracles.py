@@ -10,6 +10,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+
+from cctrack.correlation import _PEAK_TIE_EPS, CorrelationResult, _raster_bounds
+from cctrack.geometry import BoundingBox
 
 
 class MultiplyCounter:
@@ -172,3 +176,68 @@ def max_assignment_tp(det_boxes, gt_boxes, iou_threshold):
 
     recurse(0, frozenset(), 0)
     return best["size"]
+
+
+def correlate_track_reference(
+    prev_frame: np.ndarray,
+    cur_frame: np.ndarray,
+    bbox: BoundingBox,
+    search_margin: int = 20,
+) -> CorrelationResult:
+    """The einsum NCC search that fast NCC replaced: every window summed directly.
+
+    Searches offsets up to search_margin pixels per axis. A zero-variance
+    (flat) patch has no correlation signal: the box is returned unchanged
+    with the degenerate flag set. Raises ValueError if bbox falls outside
+    the previous frame or the frames disagree in shape.
+    """
+    prev = np.asarray(prev_frame, dtype=np.float64)
+    cur = np.asarray(cur_frame, dtype=np.float64)
+    if prev.ndim != 2 or cur.ndim != 2:
+        raise ValueError("frames must be 2D grayscale arrays")
+    if prev.shape != cur.shape:
+        raise ValueError(f"frame shapes differ: {prev.shape} vs {cur.shape}")
+    if search_margin < 0:
+        raise ValueError(f"search_margin must be non-negative, got {search_margin}")
+
+    frame_h, frame_w = prev.shape
+    x1, y1, x2, y2 = _raster_bounds(bbox)
+    if x1 < 0 or y1 < 0 or x2 > frame_w or y2 > frame_h:
+        raise ValueError(
+            f"bbox raster ({x1}, {y1}, {x2}, {y2}) outside frame {frame_w}x{frame_h}"
+        )
+
+    template = prev[y1:y2, x1:x2]
+    t_centered = template - template.mean()
+    t_energy = float(np.sum(t_centered * t_centered))
+    if t_energy == 0.0:
+        return CorrelationResult(bbox, 0, 0, degenerate=True, score=0.0)
+
+    sx1 = max(0, x1 - search_margin)
+    sy1 = max(0, y1 - search_margin)
+    sx2 = min(frame_w, x2 + search_margin)
+    sy2 = min(frame_h, y2 + search_margin)
+    search = cur[sy1:sy2, sx1:sx2]
+
+    windows = sliding_window_view(search, template.shape)
+    n = template.size
+    # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
+    cross = np.einsum("ijhw,hw->ij", windows, t_centered)
+    win_sum = np.einsum("ijhw->ij", windows)
+    win_sq = np.einsum("ijhw,ijhw->ij", windows, windows)
+    win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
+    denom = np.sqrt(win_energy * t_energy)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ncc = np.where(denom > 0.0, cross / denom, 0.0)
+
+    peak = float(ncc.max())
+    cand_rows, cand_cols = np.nonzero(ncc >= peak - _PEAK_TIE_EPS)
+    best = None
+    for row, col in zip(cand_rows.tolist(), cand_cols.tolist()):
+        dy = (sy1 + row) - y1
+        dx = (sx1 + col) - x1
+        key = (abs(dx) + abs(dy), dy, dx)
+        if best is None or key < best[0]:
+            best = (key, dx, dy)
+    _, dx, dy = best
+    return CorrelationResult(bbox.translate(dx, dy), dx, dy, degenerate=False, score=peak)

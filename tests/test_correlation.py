@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cctrack.correlation import correlate_track
+from cctrack.correlation import _exact_in_int64, correlate_track
 from cctrack.geometry import BoundingBox
+
+from oracles import correlate_track_reference
 
 
 def textured_frame(rng, h=80, w=100):
@@ -103,3 +107,106 @@ class TestDegenerateAndErrors:
         cur = shifted(prev, 1, 1)
         result = correlate_track(prev, cur, BoundingBox(30.4, 20.7, 50.2, 40.9), 4)
         assert (result.dx, result.dy) == (1, 1)
+
+
+@st.composite
+def correlation_cases(draw):
+    """Two uint8 frames, a box (often touching a frame edge) and a margin."""
+    h = draw(st.integers(4, 40))
+    w = draw(st.integers(4, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    levels = draw(st.sampled_from([2, 4, 256]))  # few levels give flat windows and ties
+    content = draw(st.sampled_from(["shifted", "unrelated", "periodic"]))
+    if content == "periodic":
+        tile = rng.integers(0, levels, size=(draw(st.integers(1, 6)), draw(st.integers(1, 6))))
+        prev = np.tile(tile, (h // tile.shape[0] + 1, w // tile.shape[1] + 1))[:h, :w]
+        prev = prev.astype(np.uint8)
+    else:
+        prev = rng.integers(0, levels, size=(h, w)).astype(np.uint8)
+    if content == "unrelated":
+        cur = rng.integers(0, levels, size=(h, w)).astype(np.uint8)
+    else:
+        dx = draw(st.integers(-min(6, w - 1), min(6, w - 1)))
+        dy = draw(st.integers(-min(6, h - 1), min(6, h - 1)))
+        cur = shifted(prev, dx, dy)
+
+    box_w = draw(st.integers(1, w))
+    box_h = draw(st.integers(1, h))
+    x1 = draw(st.one_of(st.just(0), st.just(w - box_w), st.integers(0, w - box_w)))
+    y1 = draw(st.one_of(st.just(0), st.just(h - box_h), st.integers(0, h - box_h)))
+    bbox = BoundingBox(x1, y1, x1 + box_w, y1 + box_h)
+    return prev, cur, bbox, draw(st.integers(0, 12))
+
+
+class TestAgainstEinsumOracle:
+    @settings(max_examples=400, deadline=None)
+    @given(correlation_cases())
+    def test_matches_oracle_exactly_on_uint8_frames(self, case):
+        prev, cur, bbox, margin = case
+        expected = correlate_track_reference(prev, cur, bbox, margin)
+        result = correlate_track(prev, cur, bbox, margin)
+        assert (result.dx, result.dy, result.degenerate) == (
+            expected.dx,
+            expected.dy,
+            expected.degenerate,
+        )
+        assert result.bbox == expected.bbox
+        assert result.score == pytest.approx(expected.score, abs=1e-12)
+
+    def test_flat_search_windows_score_exactly_zero(self, rng):
+        prev = textured_frame(rng, 40, 40)
+        cur = np.full((40, 40), 77, dtype=np.uint8)
+        result = correlate_track(prev, cur, BoundingBox(10, 10, 20, 20), search_margin=5)
+        assert (result.dx, result.dy, result.score) == (0, 0, 0.0)
+
+
+class TestFloatFrames:
+    def test_identical_periodic_float_frames_prefer_zero_offset(self):
+        tile = np.arange(25, dtype=np.float64).reshape(5, 5) / 7.0 + 0.3
+        frame = np.tile(tile, (16, 20))
+        result = correlate_track(frame, frame, BoundingBox(20, 20, 35, 35), search_margin=10)
+        assert (result.dx, result.dy) == (0, 0)
+        assert result.score == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_integer_frames_match_oracle_offsets(self, rng):
+        prev = rng.random((60, 80)) * 255.0
+        for dx, dy in ((0, 0), (3, -2), (-4, 5)):
+            cur = shifted(prev, dx, dy) + rng.normal(0.0, 2.0, size=prev.shape)
+            for bbox, margin in ((BoundingBox(30, 20, 50, 40), 6), (BoundingBox(0, 0, 12, 9), 5)):
+                expected = correlate_track_reference(prev, cur, bbox, margin)
+                result = correlate_track(prev, cur, bbox, margin)
+                assert (result.dx, result.dy) == (expected.dx, expected.dy)
+                assert result.score == pytest.approx(expected.score, abs=1e-9)
+
+
+class TestWideIntegerFrames:
+    """Integer frames too wide for exact int64 sums fall back to float64."""
+
+    @staticmethod
+    def frames(rng, base, size, dx, dy):
+        prev = (base + rng.integers(-1000, 1000, size=(size, size))).astype(np.int32)
+        return prev, shifted(prev, dx, dy, fill=base)
+
+    def test_int64_overflow_takes_float_path(self, rng):
+        # n * max**2 * n = 4096**2 * 1e12 > 2**63 for a 64x64 box near 1e6
+        prev, cur = self.frames(rng, 1_000_000, 100, 2, -3)
+        bbox = BoundingBox(18, 18, 82, 82)
+        assert not _exact_in_int64(prev[18:82, 18:82], cur)
+        expected = correlate_track_reference(prev, cur, bbox, 8)
+        result = correlate_track(prev, cur, bbox, 8)
+        assert (result.dx, result.dy) == (expected.dx, expected.dy) == (2, -3)
+        assert result.score == pytest.approx(expected.score, abs=1e-6)
+
+    def test_fft_past_2_53_takes_float_path(self, rng):
+        # n * max**2 = 64 * 4e14 > 2**53, though every int64 sum would fit
+        prev, cur = self.frames(rng, 20_000_000, 40, -1, 2)
+        bbox = BoundingBox(16, 16, 24, 24)
+        assert 64 * 20_001_000**2 > 2**53 and 64**2 * 20_001_000**2 < 2**63
+        assert not _exact_in_int64(prev[16:24, 16:24], cur)
+        expected = correlate_track_reference(prev, cur, bbox, 5)
+        result = correlate_track(prev, cur, bbox, 5)
+        assert (result.dx, result.dy) == (expected.dx, expected.dy) == (-1, 2)
+
+    def test_same_shapes_in_uint8_stay_exact(self, rng):
+        frame = textured_frame(rng, 100, 100)
+        assert _exact_in_int64(frame[18:82, 18:82], frame)

@@ -159,3 +159,33 @@ class TestPgm:
         path.write_bytes(b"JFIF....")
         with pytest.raises(FormatError, match="PGM"):
             read_pgm(path)
+
+    def test_negative_width_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n-2 10\n255\n" + bytes(20))
+        with pytest.raises(FormatError, match=r"f\.pgm.*positive integers"):
+            read_pgm(path)
+
+    def test_zero_size_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n0 10\n255\n")
+        with pytest.raises(FormatError, match=r"f\.pgm.*positive integers"):
+            read_pgm(path)
+
+    def test_non_numeric_width_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\nab 10\n255\n" + bytes(20))
+        with pytest.raises(FormatError, match=r"f\.pgm.*positive integers"):
+            read_pgm(path)
+
+    def test_short_p5_raster_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n4 3\n255\n" + bytes(11))
+        with pytest.raises(FormatError, match=r"f\.pgm.*11 bytes, expected 12"):
+            read_pgm(path)
+
+    def test_p2_sample_out_of_range_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_text("P2\n2 1\n255\n7 256\n")
+        with pytest.raises(FormatError, match=r"f\.pgm.*samples"):
+            read_pgm(path)
