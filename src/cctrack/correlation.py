@@ -8,10 +8,10 @@ the correlation peak.
 The search is Lewis's fast NCC (J. P. Lewis, "Fast Normalized
 Cross-Correlation", Vision Interface 1995): per-offset window sums come
 from integral images of the search window and the cross term from one
-rfft2 product sized to it. Integer frames stay in int64 throughout, the
-FFT cross term rounded back to its exact integer value, so 8-bit frames
-get exact scores; float frames, and integer frames too wide for that, take
-the same formulas in float64.
+rfft2 product, zero-padded to fast FFT lengths. Integer frames stay in
+int64 throughout, the FFT cross term rounded back to its exact integer
+value, so 8-bit frames get exact scores; float frames, and integer frames
+too wide for that, take the same formulas in float64.
 """
 
 from __future__ import annotations
@@ -28,10 +28,11 @@ from .geometry import BoundingBox
 _PEAK_TIE_EPS = 1e-12
 
 # Float64 unit roundoff u, and a generous constant C for the forward-error
-# bound of an FFT correlation of an N-pixel search window W with an n-pixel
-# template T: |error| <= C * u * log2(N) * sqrt(n) * |W|_2 * |T|_2 (after
-# Higham, "Accuracy and Stability of Numerical Algorithms", ch. 24). With
-# every value at most m in magnitude, |W|_2 * |T|_2 <= sqrt(N * n) * m**2.
+# bound of an N-point FFT correlation of a search window W (zero-padded to N
+# points) with an n-pixel template T: |error| <= C * u * log2(N) * sqrt(n)
+# * |W|_2 * |T|_2 (after Higham, "Accuracy and Stability of Numerical
+# Algorithms", ch. 24). With every value at most m in magnitude,
+# |W|_2 * |T|_2 <= sqrt(N * n) * m**2.
 _UNIT_ROUNDOFF = 2.0**-53
 _FFT_ERROR_CONSTANT = 32.0
 
@@ -56,22 +57,39 @@ def _raster_bounds(bbox: BoundingBox) -> tuple[int, int, int, int]:
     return x1, y1, x2, y2
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 2**a * 3**b * 5**c >= n: a length pocketfft transforms quickly."""
+    best = 1 << max(n - 1, 0).bit_length()
+    power5 = 1
+    while power5 < best:
+        odd = power5
+        while odd < best:
+            # odd * 2**a reaches n once 2**a >= ceil(n / odd).
+            ceiling = -(-n // odd)
+            best = min(best, odd << (ceiling - 1).bit_length())
+            odd *= 3
+        power5 *= 5
+    return best
+
+
 def _exact_in_int64(template: np.ndarray, search: np.ndarray) -> bool:
     """True if integer template/search sums fit int64 and rint recovers the FFT cross term.
 
     Bounds every int64 intermediate by the largest magnitude in either
-    array, and the FFT's float64 error by the bound above. 8-bit frames
-    pass both for templates up to about 380x380 pixels at margin 20.
+    array, and the FFT's float64 error by the bound above, with N the
+    padded transform's point count. 8-bit frames pass both for templates
+    up to 378x378 pixels at margin 20.
     """
     if template.dtype.kind not in "biu" or search.dtype.kind not in "biu":
         return False
     peak = max(max(-int(a.min()), int(a.max())) for a in (template, search))
-    n, size = template.size, search.size
-    if max(n * n, size) * peak * peak >= 2**63:
+    n = template.size
+    if max(n * n, search.size) * peak * peak >= 2**63:
         return False
+    points = _fast_len(search.shape[0]) * _fast_len(search.shape[1])
     fft_error = (
-        _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(math.log2(size), 1.0)
-        * n * math.sqrt(size) * peak * peak
+        _FFT_ERROR_CONSTANT * _UNIT_ROUNDOFF * max(math.log2(points), 1.0)
+        * n * math.sqrt(points) * peak * peak
     )
     return fft_error < 0.25
 
@@ -87,11 +105,16 @@ def _window_sums(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _window_cross(search: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Sum of window * template for every placement, by one rfft2 product."""
-    shape = search.shape
-    spectrum = np.fft.rfft2(search, shape) * np.conj(np.fft.rfft2(template, shape))
-    full = np.fft.irfft2(spectrum, shape)
+    (h, w), (th, tw) = search.shape, template.shape
+    shape = (_fast_len(h), _fast_len(w))
+    # Both zero-padded to fast lengths and transformed in one call.
+    stacked = np.zeros((2, *shape))
+    stacked[0, :h, :w] = search
+    stacked[1, :th, :tw] = template
+    spectra = np.fft.rfft2(stacked)
+    full = np.fft.irfft2(spectra[0] * np.conj(spectra[1]), shape)
     # Placements that fit inside the search window never wrap around.
-    return full[: shape[0] - template.shape[0] + 1, : shape[1] - template.shape[1] + 1]
+    return full[: h - th + 1, : w - tw + 1]
 
 
 def correlate_track(

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import BoundingBox, Detection, iou
+from .geometry import BoundingBox, Detection
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -123,33 +123,50 @@ def match_frame(
 
     Detections are considered in descending confidence (ties: input order).
     Each claims its best-IoU still-unmatched ground-truth box if that IoU
-    reaches iou_threshold; otherwise it is a false positive. Leftover
-    ground-truth boxes are false negatives.
+    reaches iou_threshold (IoU ties: lowest ground-truth index); otherwise
+    it is a false positive. Leftover ground-truth boxes are false negatives.
     """
     frames = {d.frame_index for d in detections} | {g.frame_index for g in ground_truth}
     if len(frames) > 1:
         raise ValueError(f"records span multiple frames: {sorted(frames)}")
 
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
-    matched_gt = [False] * len(ground_truth)
-    tp = fp = 0
+    # Unmatched ground truth as (x1, y1, x2, y2, area) in ascending index
+    # order; the strict > below gives an IoU tie to the lowest index.
+    unmatched = [
+        (b.x1, b.y1, b.x2, b.y2, (b.x2 - b.x1) * (b.y2 - b.y1))
+        for b in (record.bbox for record in ground_truth)
+    ]
+    tp = 0
     for det_index in order:
+        if not unmatched:
+            break
+        box = detections[det_index].bbox
+        x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
+        area = (x2 - x1) * (y2 - y1)
         best_iou = 0.0
-        best_gt = None
-        for gt_index, record in enumerate(ground_truth):
-            if matched_gt[gt_index]:
+        best_slot = -1
+        # geometry.iou(box, truth) inlined in its operation order, so every
+        # score is bit-identical; min(a, b) is `b if b < a else a`.
+        for slot, (gx1, gy1, gx2, gy2, g_area) in enumerate(unmatched):
+            inter_w = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
+            if inter_w <= 0.0:
                 continue
-            overlap = iou(detections[det_index].bbox, record.bbox)
+            inter_h = (gy2 if gy2 < y2 else y2) - (gy1 if gy1 > y1 else y1)
+            if inter_h <= 0.0:
+                continue
+            intersection = inter_w * inter_h
+            union = area + g_area - intersection
+            if union <= 0.0:
+                continue
+            overlap = intersection / union
             if overlap > best_iou:
                 best_iou = overlap
-                best_gt = gt_index
-        if best_gt is not None and best_iou >= iou_threshold:
-            matched_gt[best_gt] = True
+                best_slot = slot
+        if best_slot >= 0 and best_iou >= iou_threshold:
+            del unmatched[best_slot]
             tp += 1
-        else:
-            fp += 1
-    fn = matched_gt.count(False)
-    return tp, fp, fn
+    return tp, len(detections) - tp, len(unmatched)
 
 
 def count_tn(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
@@ -25,6 +26,10 @@ PathLike = Union[str, Path]
 GROUND_TRUTH_HEADER = ["frame", "object_id", "x1", "y1", "x2", "y2"]
 TRAJECTORY_HEADER = ["track_id", "frame", "cx", "cy"]
 
+# Text readers decode with errors="surrogateescape", which maps each byte
+# that is not valid UTF-8 to one of these lone surrogates.
+_UNDECODABLE = re.compile("[\udc80-\udcff]")
+
 
 class FormatError(ValueError):
     """A file failed schema validation; the message names line and field."""
@@ -34,12 +39,27 @@ def _fail(path: PathLike, line: int, message: str) -> None:
     raise FormatError(f"{path}:{line}: {message}")
 
 
+def _utf8_lines(handle, path: PathLike):
+    """The lines of a text handle, failing on the first byte that is not UTF-8."""
+    for line_no, line in enumerate(handle, start=1):
+        if not line.isascii():
+            bad = _UNDECODABLE.search(line)
+            if bad:
+                byte = ord(bad.group()) - 0xDC00
+                _fail(path, line_no, f"not valid UTF-8 (byte 0x{byte:02x})")
+        yield line
+
+
 def _require_number(value, path: PathLike, line: int, field: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, line, f"field {field!r} must be a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        _fail(path, line, f"field {field!r} is out of the float range")
+    if not math.isfinite(number):
         _fail(path, line, f"field {field!r} must be finite, got {value!r}")
-    return float(value)
+    return number
 
 
 def _require_int(value, path: PathLike, line: int, field: str) -> int:
@@ -57,8 +77,8 @@ def read_detections(path: PathLike) -> list[Detection]:
     """
     detections: list[Detection] = []
     previous_frame = -1
-    with open(path, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(_utf8_lines(handle, path), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -66,6 +86,10 @@ def read_detections(path: PathLike) -> list[Detection]:
                 obj = json.loads(line)
             except json.JSONDecodeError as exc:
                 _fail(path, line_no, f"malformed JSON: {exc.msg}")
+            except ValueError as exc:  # an integer literal past int_max_str_digits
+                _fail(path, line_no, f"malformed JSON: {exc}")
+            except RecursionError:
+                _fail(path, line_no, "malformed JSON: nested too deeply")
             if not isinstance(obj, dict):
                 _fail(path, line_no, "each line must be a JSON object")
             missing = {"frame", "bbox", "score", "class"} - obj.keys()
@@ -122,12 +146,21 @@ def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
             handle.write("\n")
 
 
+def _csv_rows(handle, path: PathLike):
+    """The rows of a CSV text handle; a csv.Error becomes a FormatError at its line."""
+    reader = csv.reader(_utf8_lines(handle, path))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        _fail(path, reader.line_num, f"malformed CSV: {exc}")
+
+
 def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
     """Parse and validate a ground-truth CSV ((frame, object_id) unique)."""
     records: list[GroundTruthRecord] = []
     seen: set[tuple[int, int]] = set()
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle)
+    with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
+        reader = _csv_rows(handle, path)
         header = next(reader, None)
         if header != GROUND_TRUTH_HEADER:
             _fail(path, 1, f"header must be {','.join(GROUND_TRUTH_HEADER)}, got {header}")
@@ -183,7 +216,11 @@ def write_pgm(path: PathLike, frame: np.ndarray) -> None:
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2D, got shape {frame.shape}")
-    data = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
+    if np.issubdtype(frame.dtype, np.integer):
+        # rint would turn 8-bit input into float16, which numpy emulates slowly.
+        data = np.clip(frame, 0, 255).astype(np.uint8)
+    else:
+        data = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
     height, width = data.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
@@ -211,12 +248,15 @@ def read_pgm(path: PathLike) -> np.ndarray:
             tokens.append(blob[start:pos])
     if len(tokens) < 4 or tokens[0] not in (b"P5", b"P2"):
         raise FormatError(f"{path}: not a P2/P5 PGM file")
-    if not all(t.isdigit() and int(t) > 0 for t in tokens[1:4]):
+    try:
+        width, height, maxval = (int(t) if t.isdigit() else 0 for t in tokens[1:4])
+    except ValueError:  # more digits than int() converts
+        width = height = maxval = 0
+    if min(width, height, maxval) <= 0:
         header = b" ".join(tokens[1:4]).decode("ascii", "replace")
         raise FormatError(
             f"{path}: header width, height and maxval must be positive integers, got {header!r}"
         )
-    width, height, maxval = (int(t) for t in tokens[1:4])
     if maxval != 255:
         raise FormatError(f"{path}: only maxval 255 supported, got {maxval}")
     count = width * height
@@ -231,9 +271,13 @@ def read_pgm(path: PathLike) -> np.ndarray:
         values = blob[pos:].split()
         if len(values) != count:
             raise FormatError(f"{path}: expected {count} samples, got {len(values)}")
-        if not all(v.isdigit() and int(v) <= maxval for v in values):
+        try:
+            samples = [int(v) if v.isdigit() else -1 for v in values]
+        except ValueError:  # more digits than int() converts
+            samples = [-1]
+        if not all(0 <= v <= maxval for v in samples):
             raise FormatError(f"{path}: samples must be integers in [0, {maxval}]")
-        raster = np.array([int(v) for v in values], dtype=np.uint8)
+        raster = np.array(samples, dtype=np.uint8)
     return raster.reshape((height, width)).copy()
 
 

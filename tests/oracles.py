@@ -158,6 +158,32 @@ def iou_reference(a, b):
     return inter / union if union > 0 else 0.0
 
 
+def greedy_match_reference(detections, ground_truth, iou_threshold):
+    """Greedy IoU matching as the prose states it, scored by iou_reference.
+
+    Detections in descending confidence (ties: input order) each claim the
+    unmatched ground-truth box of highest IoU (ties: lowest index) if that
+    IoU reaches the gate. Returns (tp, fp, fn).
+    """
+    order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
+    matched = [False] * len(ground_truth)
+    tp = fp = 0
+    for det_index in order:
+        best_iou, best_gt = 0.0, None
+        for gt_index, record in enumerate(ground_truth):
+            if matched[gt_index]:
+                continue
+            overlap = iou_reference(detections[det_index].bbox.as_tuple(), record.bbox.as_tuple())
+            if overlap > best_iou:
+                best_iou, best_gt = overlap, gt_index
+        if best_gt is not None and best_iou >= iou_threshold:
+            matched[best_gt] = True
+            tp += 1
+        else:
+            fp += 1
+    return tp, fp, matched.count(False)
+
+
 def max_assignment_tp(det_boxes, gt_boxes, iou_threshold):
     """Maximum number of detection-to-truth pairs achievable at the IoU gate,
     by exhaustive enumeration (small instances only)."""

@@ -72,6 +72,22 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "score" in err and err.count("\n") == 1  # single-line diagnostic
 
+    @pytest.mark.parametrize(
+        "line",
+        [b"[" * 100_000, b'{"frame": 0, "bbox": [0, 0, 5, ' + b"9" * 400 + b'], "score": 1, "class": 0}'],
+    )
+    def test_unparseable_numbers_and_nesting_are_data_errors(self, capsys, tmp_path, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_bytes(line + b"\n")
+        gt = tmp_path / "gt.csv"
+        gt.write_text("frame,object_id,x1,y1,x2,y2\n")
+        code = main([
+            "eval", "--detections", str(bad), "--groundtruth", str(gt), "--threshold", "0.5",
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "bad.jsonl:1:" in err and err.count("\n") == 1
+
     def test_convcheck_passes_with_exit_zero(self, capsys):
         assert main(["convcheck"]) == 0
         out = capsys.readouterr().out

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cctrack.correlation import _exact_in_int64, correlate_track
+from cctrack.correlation import _exact_in_int64, _fast_len, correlate_track
 from cctrack.geometry import BoundingBox
 
 from oracles import correlate_track_reference
@@ -153,11 +153,44 @@ class TestAgainstEinsumOracle:
         assert result.bbox == expected.bbox
         assert result.score == pytest.approx(expected.score, abs=1e-12)
 
+    # (box x1, box y1, box width, box height): search windows of 83x79 and
+    # 101x97 px in the open, and of 67x61 px clipped at the top-left corner.
+    @pytest.mark.parametrize("box", [(60, 60, 43, 39), (50, 50, 61, 57), (0, 0, 47, 41)])
+    @pytest.mark.parametrize("shift", [(0, 0), (3, -2), (-7, 5)])
+    def test_prime_sided_search_windows_match_oracle(self, rng, box, shift):
+        x1, y1, w, h = box
+        margin = 20
+        search_w = min(200, x1 + w + margin) - max(0, x1 - margin)
+        search_h = min(200, y1 + h + margin) - max(0, y1 - margin)
+        assert all(n > 2 and all(n % k for k in range(2, n)) for n in (search_w, search_h))
+        prev = textured_frame(rng, 200, 200)
+        cur = shifted(prev, *shift)
+        bbox = BoundingBox(x1, y1, x1 + w, y1 + h)
+        expected = correlate_track_reference(prev, cur, bbox, margin)
+        result = correlate_track(prev, cur, bbox, margin)
+        assert (result.dx, result.dy, result.degenerate) == (expected.dx, expected.dy, False)
+        assert result.score == pytest.approx(expected.score, abs=1e-12)
+        if x1 > 0:  # content shifted off the frame edge is not recoverable
+            assert (result.dx, result.dy) == shift
+
     def test_flat_search_windows_score_exactly_zero(self, rng):
         prev = textured_frame(rng, 40, 40)
         cur = np.full((40, 40), 77, dtype=np.uint8)
         result = correlate_track(prev, cur, BoundingBox(10, 10, 20, 20), search_margin=5)
         assert (result.dx, result.dy, result.score) == (0, 0, 0.0)
+
+
+class TestFastLen:
+    def test_matches_brute_force(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 2001):
+            expected = next(m for m in range(n, 2 * n + 1) if smooth(m))
+            assert _fast_len(n) == expected, n
 
 
 class TestFloatFrames:

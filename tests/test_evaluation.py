@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cctrack import evaluation
 from cctrack.evaluation import (
     NINE_THRESHOLDS,
     ConfusionCounts,
@@ -11,9 +14,10 @@ from cctrack.evaluation import (
     threshold_sweep,
 )
 from cctrack.geometry import BoundingBox
+from cctrack.scenario import generate, preset_config
 
 from conftest import det
-from oracles import max_assignment_tp
+from oracles import greedy_match_reference, max_assignment_tp
 
 
 def gt(frame, x1, y1, x2, y2, object_id=0):
@@ -123,6 +127,83 @@ class TestMatchFrame:
                 [g.bbox.as_tuple() for g in truth],
                 0.5,
             )
+
+
+# Quarter-pixel corners make IoU of exactly 0.5 common (e.g. [0, 0, 2, 1]
+# against [0, 0, 1, 1]); zero sides give zero-area boxes.
+_QUARTER = st.integers(0, 12).map(lambda q: q / 4)
+_SIDE = st.one_of(st.just(0.0), st.integers(1, 8).map(lambda q: q / 4))
+
+
+# The nine boxes with corners on a 3x3 lattice: distinct boxes often tie on IoU.
+_LATTICE_BOXES = [
+    (x1, y1, x2, y2)
+    for x1 in range(2) for x2 in range(x1 + 1, 3) for y1 in range(2) for y2 in range(y1 + 1, 3)
+]
+
+
+@st.composite
+def _quarter_box(draw):
+    x1, y1 = draw(_QUARTER), draw(_QUARTER)
+    return (x1, y1, x1 + draw(_SIDE), y1 + draw(_SIDE))
+
+
+def _corners():
+    return st.one_of(_quarter_box(), st.sampled_from(_LATTICE_BOXES))
+
+
+@st.composite
+def matching_frames(draw):
+    truth = draw(st.lists(_corners(), max_size=6))
+    if truth:
+        # Repeated ground-truth boxes tie on IoU; repeated as detections they score 1.
+        truth = draw(st.permutations(truth + draw(st.lists(st.sampled_from(truth), max_size=3))))
+        det_boxes = draw(st.lists(st.one_of(_corners(), st.sampled_from(truth)), max_size=8))
+    else:
+        det_boxes = draw(st.lists(_corners(), max_size=8))
+    confidences = st.sampled_from((0.3, 0.5, 0.9))
+    detections = [det(0, *box, draw(confidences)) for box in det_boxes]
+    records = [gt(0, *box, object_id=i) for i, box in enumerate(truth)]
+    return detections, records, draw(st.sampled_from((0.3, 0.5, 1.0)))
+
+
+class TestMatchFrameAgainstReference:
+    @settings(max_examples=500, deadline=None)
+    @given(matching_frames())
+    def test_equals_greedy_reference(self, case):
+        detections, truth, iou_threshold = case
+        assert match_frame(detections, truth, iou_threshold) == greedy_match_reference(
+            detections, truth, iou_threshold
+        )
+
+    def test_iou_of_exactly_half_passes_the_default_gate(self):
+        assert match_frame([det(0, 0, 0, 2, 1)], [gt(0, 0, 0, 1, 1)]) == (1, 0, 0)
+        assert match_frame([det(0, 0, 0, 2, 1)], [gt(0, 0, 0, 1, 1)], 0.5000001) == (0, 1, 1)
+
+    def test_iou_ties_go_to_the_lowest_ground_truth_index(self):
+        # The wide box scores 0.5 on both halves and must claim the left one,
+        # leaving the right half to nobody.
+        wide, left = det(0, 0, 0, 2, 2, 0.9), det(0, 0, 0, 1, 2, 0.5)
+        truth = [gt(0, 0, 0, 1, 2, object_id=0), gt(0, 1, 0, 2, 2, object_id=1)]
+        assert match_frame([wide, left], truth) == (1, 1, 1)
+
+    def test_confidence_ties_visit_detections_in_input_order(self):
+        wide, left = det(0, 0, 0, 2, 2, 0.5), det(0, 0, 0, 1, 2, 0.5)
+        truth = [gt(0, 0, 0, 1, 2, object_id=0), gt(0, 1, 0, 2, 2, object_id=1)]
+        assert match_frame([wide, left], truth) == (1, 1, 1)
+        assert match_frame([left, wide], truth) == (2, 0, 0)
+
+    def test_zero_area_boxes_never_match(self):
+        assert match_frame([det(0, 1, 1, 1, 5)], [gt(0, 1, 1, 1, 5)], 0.3) == (0, 1, 1)
+
+    def test_dense_crowd_sweep_equals_the_reference_matcher(self, monkeypatch):
+        cfg = preset_config("large", num_people=100, frame_count=20, rng_seed=0)
+        scn = generate(cfg)
+        rows = threshold_sweep(scn.detections, scn.ground_truth, frame_count=cfg.frame_count)
+        monkeypatch.setattr(evaluation, "match_frame", greedy_match_reference)
+        expected = threshold_sweep(scn.detections, scn.ground_truth, frame_count=cfg.frame_count)
+        assert rows == expected
+        assert rows[0].counts.tp > 0 and rows[0].counts.fp > 0
 
 
 class TestCountTn:

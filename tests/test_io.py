@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cctrack.evaluation import GroundTruthRecord
 from cctrack.geometry import BoundingBox
@@ -84,6 +86,33 @@ class TestDetectionsJsonl:
         with pytest.raises(FormatError, match="bbox"):
             read_detections(path)
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_bytes(
+            b'{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n'
+            b'{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": "\xff"}\n'
+        )
+        with pytest.raises(FormatError, match=r"d\.jsonl:2: not valid UTF-8 \(byte 0xff\)"):
+            read_detections(path)
+
+    def test_deep_nesting_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text("\n" + "[" * 100_000 + "\n")
+        with pytest.raises(FormatError, match=r"d\.jsonl:2: malformed JSON"):
+            read_detections(path)
+
+    def test_integer_beyond_float_range_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"frame": 0, "bbox": [0, 0, 5, ' + "9" * 400 + '], "score": 0.5, "class": 0}\n')
+        with pytest.raises(FormatError, match=r"d\.jsonl:1: field 'bbox' is out of the float range"):
+            read_detections(path)
+
+    def test_integer_past_the_digit_limit_names_the_line(self, tmp_path):
+        path = tmp_path / "d.jsonl"
+        path.write_text('{"frame": 0, "bbox": [0, 0, 5, ' + "9" * 5000 + '], "score": 0.5, "class": 0}\n')
+        with pytest.raises(FormatError, match=r"d\.jsonl:1: malformed JSON"):
+            read_detections(path)
+
     def test_writer_is_deterministic(self, tmp_path):
         records = [det(1, 0.123456789, 2, 10, 20, 0.333), det(0, 5, 6, 7, 8, 0.9)]
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
@@ -129,8 +158,43 @@ class TestGroundTruthCsv:
         with pytest.raises(FormatError, match="invalid box"):
             read_ground_truth(path)
 
+    def test_invalid_utf8_names_the_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_bytes(b"frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n0,1,0,0,5,\xc35\n")
+        with pytest.raises(FormatError, match=r"gt\.csv:3: not valid UTF-8 \(byte 0xc3\)"):
+            read_ground_truth(path)
+
+    def test_oversized_field_names_the_line(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text('frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n"' + "x" * 200_000 + "\n")
+        with pytest.raises(FormatError, match=r"gt\.csv:3: malformed CSV"):
+            read_ground_truth(path)
+
+
+def _old_pgm_raster(frame):
+    """Reference conversion for any dtype: round half to even, clip, narrow."""
+    return np.clip(np.rint(frame), 0, 255).astype(np.uint8).tobytes()
+
 
 class TestPgm:
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int64])
+    def test_integer_frames_write_the_rounded_clipped_bytes(self, tmp_path, rng, dtype):
+        info = np.iinfo(dtype)
+        frame = rng.integers(info.min, info.max, size=(9, 11), dtype=dtype, endpoint=True)
+        # The dtype's extremes and the first values outside [0, 255] it can hold.
+        frame[0, :4] = [info.min, -1 if info.min else 0, 256 if info.max > 255 else 255, info.max]
+        path = tmp_path / "f.pgm"
+        write_pgm(path, frame)
+        assert path.read_bytes() == b"P5\n11 9\n255\n" + _old_pgm_raster(frame)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_frames_round_half_to_even_then_clip(self, tmp_path, dtype):
+        frame = np.array([[-0.5, 0.5, 1.5, 2.5, 254.5, 255.5, -3.0, 300.0]], dtype=dtype)
+        path = tmp_path / "f.pgm"
+        write_pgm(path, frame)
+        raster = path.read_bytes()[len(b"P5\n8 1\n255\n"):]
+        assert raster == _old_pgm_raster(frame) == bytes([0, 0, 2, 2, 254, 255, 0, 255])
+
     def test_round_trip(self, tmp_path, rng):
         frame = rng.integers(0, 256, size=(13, 17)).astype(np.uint8)
         path = tmp_path / "f.pgm"
@@ -189,3 +253,70 @@ class TestPgm:
         path.write_text("P2\n2 1\n255\n7 256\n")
         with pytest.raises(FormatError, match=r"f\.pgm.*samples"):
             read_pgm(path)
+
+    def test_integers_past_the_digit_limit_rejected(self, tmp_path):
+        path = tmp_path / "f.pgm"
+        path.write_text("P5\n" + "9" * 5000 + " 1\n255\n")
+        with pytest.raises(FormatError, match=r"f\.pgm.*positive integers"):
+            read_pgm(path)
+        path.write_text("P2\n2 1\n255\n7 " + "0" * 5000 + "\n")
+        with pytest.raises(FormatError, match=r"f\.pgm.*samples"):
+            read_pgm(path)
+
+
+# Any byte string either parses or raises FormatError. Random bytes rarely
+# get past the first check, so most examples splice random bytes into or
+# after a well-formed start.
+_DETECTION_LINE = b'{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n'
+_GROUND_TRUTH_START = b"frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n"
+_PGM_STARTS = (b"P5\n3 2\n255\n", b"P2\n3 2\n255\n", b"P5 1 1 255 ", b"P2\n# c\n2 1\n255\n0 ")
+_TEXT_PIECES = (
+    b"0", b"1", b"-1", b"0.5", b"1e400", b"NaN", b"9" * 30, b",", b"\n", b"\r", b'"', b"[", b"]",
+    b"{", b"}", b":", b" ", b'"frame"', b'"bbox"', b'"score"', b'"class"', b"true", b"null",
+    b"\xff", b"\xc3", b"\xc3\xa9", b"\x00", b"#", b"P5", b"255", b"256",
+)
+
+
+def _spliced(starts):
+    """Random bytes, or a well-formed start, cut short or whole, then random pieces."""
+    pieces = st.lists(st.one_of(st.sampled_from(_TEXT_PIECES), st.binary(max_size=4)), max_size=25)
+    return st.one_of(
+        st.binary(max_size=200),
+        st.builds(
+            lambda start, cut, tail: start[:cut] + b"".join(tail),
+            st.sampled_from(starts),
+            st.integers(0, 200),
+            pieces,
+        ),
+    )
+
+
+def _parses_or_format_error(reader, path, blob):
+    path.write_bytes(blob)
+    try:
+        reader(path)
+    except FormatError:
+        pass
+
+
+@pytest.fixture(scope="class")
+def input_file(tmp_path_factory):
+    """One file that every example of a test overwrites."""
+    return tmp_path_factory.mktemp("any-bytes") / "input"
+
+
+class TestAnyBytes:
+    @settings(max_examples=300, deadline=None)
+    @given(_spliced((_DETECTION_LINE, _DETECTION_LINE * 2, b'{"frame": 0, "bbox": [')))
+    def test_read_detections(self, input_file, blob):
+        _parses_or_format_error(read_detections, input_file, blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spliced((_GROUND_TRUTH_START, b"frame,object_id,x1,y1,x2,y2\n")))
+    def test_read_ground_truth(self, input_file, blob):
+        _parses_or_format_error(read_ground_truth, input_file, blob)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_spliced(_PGM_STARTS))
+    def test_read_pgm(self, input_file, blob):
+        _parses_or_format_error(read_pgm, input_file, blob)
