@@ -146,16 +146,8 @@ def _cmd_track(args) -> int:
                 update = tracker.update(frame_index, (), pixels)
             if trace_handle:
                 trace_handle.write(_frame_update_json(update) + "\n")
-            if update.matched or update.registered or update.correlated:
-                positions = {t.id: t.centroid for t in tracker.live_tracks()}
-                moved = (
-                    [tid for tid, _ in update.matched]
-                    + list(update.registered)
-                    + list(update.correlated)
-                )
-                for tid in moved:
-                    point = positions[tid]
-                    rows.append((tid, frame_index, point.x, point.y))
+            for tid, point in update.positions:
+                rows.append((tid, frame_index, point.x, point.y))
     finally:
         if trace_handle:
             trace_handle.close()

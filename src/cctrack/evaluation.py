@@ -182,7 +182,7 @@ def count_tn(
     if frame_count < 0:
         raise ValueError(f"frame_count must be non-negative, got {frame_count}")
     occupied = {d.frame_index for d in detections} | {g.frame_index for g in ground_truth}
-    return sum(1 for f in range(frame_count) if f not in occupied)
+    return frame_count - sum(1 for f in occupied if 0 <= f < frame_count)
 
 
 def _group_by_frame(records):

@@ -4,7 +4,9 @@ Per-frame flow on a detection frame:
 
   1. drop detections below the confidence threshold (and foreign classes)
   2. greedily associate surviving centroids with live tracks, nearest
-     pair first, gated at max_distance
+     pair first, gated at max_distance; only detections in each track's
+     x-strip of half-width max_distance are scored, which drops no pair
+     within the gate
   3. matched tracks adopt the new box, reset their disappearance counter,
      and extend their history
   4. unmatched detections register new tracks with fresh ids
@@ -22,6 +24,7 @@ copies, and independent instances may run concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
@@ -81,7 +84,8 @@ class FrameUpdate:
     On detection frames each live track lands in exactly one of matched,
     disappeared_incremented, or deregistered; on correlation frames the
     advanced track ids land in correlated instead. All id lists are
-    pairwise disjoint.
+    pairwise disjoint. positions holds (track_id, centroid) after the
+    update for every id in matched, then registered, then correlated.
     """
 
     frame_index: int
@@ -90,6 +94,7 @@ class FrameUpdate:
     disappeared_incremented: tuple[int, ...] = ()
     deregistered: tuple[int, ...] = ()
     correlated: tuple[int, ...] = ()
+    positions: tuple[tuple[int, Point], ...] = ()
 
 
 class AssociationResult(NamedTuple):
@@ -112,9 +117,18 @@ def associate(
     """
     if not max_distance > 0:
         raise ValueError(f"max_distance must be positive, got {max_distance}")
+    # hypot(dx, dy) >= max(|dx|, |dy|), so a pair within the gate has its
+    # point in the track's x-strip and |dy| <= max_distance. The strip is
+    # widened slightly so that a dx that rounds down onto the gate is kept.
+    by_x = sorted(incoming, key=lambda item: item[1].x)
+    xs = [point.x for _, point in by_x]
+    reach = max_distance * (1 + 1e-9) + 1e-9
     candidates = []
     for track_id, track_point in existing:
-        for index, point in incoming:
+        x, y = track_point.x, track_point.y
+        for index, point in by_x[bisect_left(xs, x - reach) : bisect_right(xs, x + reach)]:
+            if abs(point.y - y) > max_distance:
+                continue
             d = euclidean(track_point, point)
             if d <= max_distance:
                 candidates.append((d, track_id, index))
@@ -146,10 +160,10 @@ class _TrackState:
     def snapshot(self) -> Track:
         return Track(self.id, self.bbox, self.centroid, self.disappeared, tuple(self.history))
 
-    def move_to(self, frame_index: int, bbox: BoundingBox):
+    def move_to(self, frame_index: int, bbox: BoundingBox, center: Point):
         self.bbox = bbox
-        self.centroid = centroid(bbox)
-        self.history.append((frame_index, self.centroid))
+        self.centroid = center
+        self.history.append((frame_index, center))
 
 
 class CentroidCorrelationTracker:
@@ -223,21 +237,25 @@ class CentroidCorrelationTracker:
         incoming = [(i, centroid(d.bbox)) for i, d in enumerate(kept)]
         result = associate(existing, incoming, cfg.max_distance)
 
-        matched = []
+        matched, positions = [], []
         for track_id, index in result.matches:
             det = kept[index]
+            center = incoming[index][1]
             self._tracks[track_id].disappeared = 0
-            self._tracks[track_id].move_to(frame_index, det.bbox)
+            self._tracks[track_id].move_to(frame_index, det.bbox, center)
             matched.append((track_id, det))
+            positions.append((track_id, center))
 
         registered = []
         for index in result.unmatched_incoming:
             det = kept[index]
-            track = _TrackState(self._next_id, det.bbox, centroid(det.bbox))
-            track.history.append((frame_index, track.centroid))
+            center = incoming[index][1]
+            track = _TrackState(self._next_id, det.bbox, center)
+            track.history.append((frame_index, center))
             self._tracks[track.id] = track
             self._next_id += 1
             registered.append(track.id)
+            positions.append((track.id, center))
 
         aged, removed = [], []
         for track_id in result.unmatched_tracks:
@@ -255,6 +273,7 @@ class CentroidCorrelationTracker:
             registered=tuple(registered),
             disappeared_incremented=tuple(sorted(aged)),
             deregistered=tuple(sorted(removed)),
+            positions=tuple(positions),
         )
 
     def _correlation_update(self, frame_index: int, frame: Optional[np.ndarray]) -> FrameUpdate:
@@ -272,11 +291,16 @@ class CentroidCorrelationTracker:
                 self._prev_frame, frame, visible, self.config.search_margin
             )
             if not result.degenerate:
-                track.move_to(frame_index, track.bbox.translate(result.dx, result.dy))
+                moved = track.bbox.translate(result.dx, result.dy)
+                track.move_to(frame_index, moved, centroid(moved))
             else:
                 track.history.append((frame_index, track.centroid))
             advanced.append(track_id)
-        return FrameUpdate(frame_index, correlated=tuple(advanced))
+        return FrameUpdate(
+            frame_index,
+            correlated=tuple(advanced),
+            positions=tuple((tid, self._tracks[tid].centroid) for tid in advanced),
+        )
 
     @staticmethod
     def _clip_to_frame(bbox: BoundingBox, frame_w: int, frame_h: int) -> Optional[BoundingBox]:

@@ -13,7 +13,8 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cctrack.correlation import _PEAK_TIE_EPS, CorrelationResult, _raster_bounds
-from cctrack.geometry import BoundingBox
+from cctrack.geometry import BoundingBox, euclidean
+from cctrack.tracker import AssociationResult
 
 
 class MultiplyCounter:
@@ -143,6 +144,33 @@ def greedy_matching_reference(existing, incoming, max_distance):
         used_i.add(index)
         pairs.append((track_id, index))
     return tuple(pairs)
+
+
+def associate_reference(existing, incoming, max_distance):
+    """tracker.associate with every (track, incoming) pair scored, no pruning."""
+    if not max_distance > 0:
+        raise ValueError(f"max_distance must be positive, got {max_distance}")
+    candidates = []
+    for track_id, track_point in existing:
+        for index, point in incoming:
+            d = euclidean(track_point, point)
+            if d <= max_distance:
+                candidates.append((d, track_id, index))
+    candidates.sort()
+
+    matches = []
+    claimed_tracks = set()
+    claimed_incoming = set()
+    for _, track_id, index in candidates:
+        if track_id in claimed_tracks or index in claimed_incoming:
+            continue
+        claimed_tracks.add(track_id)
+        claimed_incoming.add(index)
+        matches.append((track_id, index))
+
+    unmatched_tracks = tuple(tid for tid, _ in existing if tid not in claimed_tracks)
+    unmatched_incoming = tuple(idx for idx, _ in incoming if idx not in claimed_incoming)
+    return AssociationResult(tuple(matches), unmatched_tracks, unmatched_incoming)
 
 
 def _interval_overlap(a_lo, a_hi, b_lo, b_hi):

@@ -1,9 +1,11 @@
 import csv
 import json
+import time
 
 import pytest
 
 from cctrack.cli import main, parse_threshold_range
+from cctrack.tracker import CentroidCorrelationTracker
 from cctrack.io import read_detections, read_ground_truth
 
 
@@ -245,6 +247,21 @@ class TestEvalAndSweep:
         assert code == 0
         assert target.read_text().startswith("threshold,tp,fp,fn,tn,")
 
+    def test_sweep_time_does_not_grow_with_the_largest_frame_index(self, tmp_path, capsys):
+        detections = tmp_path / "far.jsonl"
+        detections.write_text(
+            json.dumps({"frame": 10**12, "bbox": [0, 0, 10, 10], "score": 0.95, "class": 0}) + "\n"
+        )
+        truth = tmp_path / "gt.csv"
+        truth.write_text("frame,object_id,x1,y1,x2,y2\n")
+        start = time.perf_counter()
+        code = main(["sweep", "--detections", str(detections), "--groundtruth", str(truth)])
+        assert time.perf_counter() - start < 1.0
+        assert code == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert [int(row["tn"]) for row in rows] == [10**12] * 9
+        assert [int(row["fp"]) for row in rows] == [1] * 9
+
     def test_bad_threshold_range_is_data_error(self, dataset, capsys):
         code = main([
             "sweep", "--detections", str(dataset / "detections.jsonl"),
@@ -323,6 +340,30 @@ class TestTrack:
             capsys.readouterr()
             outs.append(target.read_bytes())
         assert outs[0] == outs[1]
+
+    def test_one_live_tracks_copy_per_run(self, tmp_path, capsys, monkeypatch):
+        # Trajectory rows come from FrameUpdate.positions; only the summary
+        # line reads live_tracks(), so its history copy is not per frame.
+        out_dir = synth(tmp_path, capsys, {
+            "preset": "small", "frame_count": 40, "rng_seed": 8, "render_frames": False,
+        })
+        calls = []
+        original = CentroidCorrelationTracker.live_tracks
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(CentroidCorrelationTracker, "live_tracks", counting)
+        config = write_config(tmp_path, "trk.json", {})
+        traj = tmp_path / "traj.csv"
+        assert main([
+            "track", "--detections", str(out_dir / "detections.jsonl"),
+            "--config", config, "--out", str(traj),
+        ]) == 0
+        capsys.readouterr()
+        assert len(calls) == 1
+        assert len(traj.read_text().splitlines()) > 40
 
     def test_empty_detections_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -223,6 +225,16 @@ class TestCountTn:
     def test_detection_only_frame_is_not_tn(self):
         detections = [det(2, 0, 0, 10, 10, 0.9)]
         assert count_tn(4, detections, []) == 3
+
+    def test_frames_past_the_universe_are_ignored(self):
+        detections = [det(2, 0, 0, 10, 10, 0.9), det(7, 0, 0, 10, 10, 0.9)]
+        assert count_tn(4, detections, [gt(4, 0, 0, 10, 10)]) == 3
+
+    def test_cost_does_not_grow_with_the_largest_frame_index(self):
+        start = time.perf_counter()
+        report = evaluate_at([det(10**12, 0, 0, 10, 10, 0.9)], [], 0.5)
+        assert time.perf_counter() - start < 1.0
+        assert report.counts == ConfusionCounts(tp=0, fp=1, fn=0, tn=10**12)
 
 
 class TestEvaluateAt:

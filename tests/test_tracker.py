@@ -1,7 +1,12 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cctrack.geometry import BoundingBox, Point, centroid
+from cctrack.scenario import generate, preset_config, render_frames
 from cctrack.tracker import (
     CentroidCorrelationTracker,
     TrackerConfig,
@@ -9,7 +14,7 @@ from cctrack.tracker import (
 )
 
 from conftest import det
-from oracles import best_gated_matching, greedy_matching_reference
+from oracles import associate_reference, best_gated_matching, greedy_matching_reference
 
 
 def make_tracker(**overrides):
@@ -103,6 +108,101 @@ class TestAssociate:
             assert len(result.matches) <= best_size
             if set(result.matches) == set(oracle_pairs):
                 assert len(result.matches) == best_size
+
+
+_GATES = (0.5, 1.0, 5.0, 50.0)
+
+
+@st.composite
+def _gate_edge_pair(draw, gate):
+    """A track and a point whose x gap is one ulp off the gate, where the
+    computed dx can round onto the gate (x = 20.100000000000005 against
+    -29.9 at gate 50 gives dx == 50.0)."""
+    px = draw(st.floats(-gate, gate, allow_nan=False, allow_infinity=False))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    tx = px + sign * gate
+    tx = draw(st.sampled_from((tx, math.nextafter(tx, math.inf), math.nextafter(tx, -math.inf))))
+    y = draw(st.floats(-gate, gate, allow_nan=False, allow_infinity=False))
+    dy = draw(st.sampled_from((0.0, 5e-324, gate / 1e9)))
+    return (tx, y), (px, y + dy)
+
+
+@st.composite
+def association_cases(draw):
+    gate = draw(st.sampled_from(_GATES))
+    family = draw(st.sampled_from(("lattice", "far", "edge")))
+    if family == "edge":
+        pairs = draw(st.lists(_gate_edge_pair(gate), max_size=4))
+        track_points = [t for t, _ in pairs]
+        incoming_points = [p for _, p in pairs]
+        points = st.sampled_from(track_points + incoming_points or [(0.0, 0.0)])
+        track_points += draw(st.lists(points, max_size=2))
+        incoming_points += draw(st.lists(points, max_size=2))
+    else:
+        if family == "lattice":
+            # Lattice steps make distance ties and pairs exactly at the gate
+            # common (3-4-5 offsets on the 1 px lattice with gate 5).
+            step = draw(st.sampled_from((0.25, 1.0, 3.0)))
+            span = max(4, int(3 * gate / step))
+            coord = st.integers(-span, span).map(lambda k: k * step)
+        else:
+            # Large coordinates: near 1e6 and across the 2**20 binade edge.
+            base = draw(st.sampled_from((1e6, 2.0**20)))
+            offset = st.floats(-3 * gate, 3 * gate, allow_nan=False, allow_infinity=False)
+            lattice = st.integers(-12, 12).map(lambda k: k * gate / 4)
+            coord = st.one_of(offset, lattice).map(lambda v: base + v)
+        points = st.tuples(coord, coord)
+        track_points = draw(st.lists(points, max_size=8))
+        incoming_points = draw(st.lists(points, max_size=8))
+        # Duplicate points, within and across the two sides.
+        shared = track_points + incoming_points
+        if shared:
+            incoming_points += draw(st.lists(st.sampled_from(shared), max_size=3))
+        # Points exactly one gate from a track along an axis or a 3-4-5 diagonal.
+        if track_points:
+            offsets = st.sampled_from(
+                ((gate, 0.0), (0.0, gate), (-gate, 0.0), (0.0, -gate), (0.6 * gate, -0.8 * gate))
+            )
+            for (x, y), (dx, dy) in draw(
+                st.lists(st.tuples(st.sampled_from(track_points), offsets), max_size=3)
+            ):
+                incoming_points.append((x + dx, y + dy))
+    track_ids = draw(
+        st.lists(st.integers(0, 60), min_size=len(track_points), max_size=len(track_points),
+                 unique=True)
+    )
+    indices = draw(
+        st.lists(st.integers(0, 60), min_size=len(incoming_points),
+                 max_size=len(incoming_points), unique=True)
+    )
+    existing = [(tid, Point(*xy)) for tid, xy in zip(track_ids, track_points)]
+    incoming = [(i, Point(*xy)) for i, xy in zip(indices, incoming_points)]
+    return existing, incoming, gate
+
+
+class TestAssociateAgainstReference:
+    @settings(max_examples=600, deadline=None)
+    @given(association_cases())
+    def test_equals_all_pairs_reference(self, case):
+        existing, incoming, gate = case
+        assert associate(existing, incoming, gate) == associate_reference(existing, incoming, gate)
+
+    def test_gap_that_rounds_onto_the_gate_is_kept(self):
+        # 20.100000000000005 - (-29.9) rounds to exactly 50.0, though the
+        # true gap is one ulp wider; the all-pairs loop matches this pair.
+        px = -29.9
+        tx = math.nextafter(50.0 + px, math.inf)
+        assert tx - px == 50.0
+        existing = [(0, Point(tx, 0.0))]
+        incoming = [(0, Point(px, 0.0))]
+        assert associate(existing, incoming, 50.0).matches == ((0, 0),)
+        assert associate(existing, incoming, 50.0) == associate_reference(existing, incoming, 50.0)
+
+    def test_pair_exactly_at_the_gate_on_either_axis(self):
+        existing = [(0, Point(0.0, 0.0))]
+        for offset in ((5.0, 0.0), (0.0, 5.0), (-5.0, 0.0), (0.0, -5.0), (3.0, 4.0)):
+            result = associate(existing, [(0, Point(*offset))], 5.0)
+            assert result.matches == ((0, 0),)
 
 
 class TestLifecycle:
@@ -314,6 +414,31 @@ class TestConservationInvariants:
             tracker = make_tracker()
             runs.append([tracker.update(i, frame_dets) for i, frame_dets in enumerate(frames)])
         assert runs[0] == runs[1]
+
+
+class TestPositions:
+    def test_positions_match_live_tracks(self):
+        config = preset_config("large", frame_count=30, rng_seed=3)
+        scenario = generate(config)
+        frames = render_frames(scenario)
+        by_frame = {}
+        for detection in scenario.detections:
+            by_frame.setdefault(detection.frame_index, []).append(detection)
+        tracker = CentroidCorrelationTracker(TrackerConfig(detection_interval=3))
+        seen = {"matched": 0, "registered": 0, "correlated": 0}
+        for index, pixels in enumerate(frames):
+            detections = by_frame.get(index, []) if index % 3 == 0 else ()
+            update = tracker.update(index, detections, pixels)
+            moved = (
+                [tid for tid, _ in update.matched]
+                + list(update.registered)
+                + list(update.correlated)
+            )
+            live = {track.id: track.centroid for track in tracker.live_tracks()}
+            assert update.positions == tuple((tid, live[tid]) for tid in moved)
+            for name in seen:
+                seen[name] += len(getattr(update, name))
+        assert all(seen.values()), seen
 
 
 class TestCorrelationFrames:
