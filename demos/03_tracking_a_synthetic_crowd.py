@@ -8,7 +8,13 @@ with distance gating and a disappearance allowance.
 
 from collections import Counter
 
-from cctrack import CentroidCorrelationTracker, TrackerConfig, generate, preset_config
+from cctrack import (
+    CentroidCorrelationTracker,
+    TrackerConfig,
+    generate,
+    group_by_frame,
+    preset_config,
+)
 
 config = preset_config("medium", rng_seed=11, frame_count=200)
 scn = generate(config)
@@ -16,9 +22,7 @@ print(f"{config.crowd_category} crowd: {config.num_people} people, "
       f"{config.frame_count} frames, {len(scn.detections)} detections "
       f"(misses, jitter, and clutter included)")
 
-by_frame = {}
-for det in scn.detections:
-    by_frame.setdefault(det.frame_index, []).append(det)
+by_frame = group_by_frame(scn.detections)
 
 tracker = CentroidCorrelationTracker(TrackerConfig(
     max_disappearance=25,
@@ -28,7 +32,7 @@ tracker = CentroidCorrelationTracker(TrackerConfig(
 
 events = Counter()
 for frame in range(config.frame_count):
-    update = tracker.update(frame, by_frame.get(frame, []))
+    update = tracker.update(frame, by_frame.get(frame, ()))
     events["matched"] += len(update.matched)
     events["registered"] += len(update.registered)
     events["aged"] += len(update.disappeared_incremented)

@@ -15,6 +15,7 @@ from cctrack import (
     TrackerConfig,
     correlate_track,
     generate,
+    group_by_frame,
     preset_config,
     render_frames,
 )
@@ -35,9 +36,7 @@ config = preset_config("noiseless", num_people=1, frame_count=24,
 scn = generate(config)
 frames = render_frames(scn)
 
-by_frame = {}
-for det in scn.detections:
-    by_frame.setdefault(det.frame_index, []).append(det)
+by_frame = group_by_frame(scn.detections)
 
 interval = 4
 tracker = CentroidCorrelationTracker(TrackerConfig(
@@ -46,12 +45,11 @@ tracker = CentroidCorrelationTracker(TrackerConfig(
 
 print(f"\ndetector runs every {interval} frames; correlation fills the gaps:")
 for frame in range(config.frame_count):
-    if frame % interval == 0:
-        update = tracker.update(frame, by_frame.get(frame, []), frames[frame])
-    else:
-        update = tracker.update(frame, (), frames[frame])
+    # The tracker owns the schedule: run the detector only when it asks.
+    detecting = tracker.detects_next
+    tracker.update(frame, by_frame.get(frame, ()) if detecting else (), frames[frame])
     (track,) = tracker.live_tracks()
-    mode = "detect   " if frame % interval == 0 else "correlate"
+    mode = "detect   " if detecting else "correlate"
     if frame < 9 or frame == config.frame_count - 1:
         print(f"  frame {frame:>2} [{mode}] track {track.id} at "
               f"({track.centroid.x:6.1f}, {track.centroid.y:6.1f})")

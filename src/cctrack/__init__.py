@@ -14,6 +14,7 @@ from .evaluation import (
     MetricsReport,
     count_tn,
     evaluate_at,
+    group_by_frame,
     match_frame,
     metrics,
     threshold_sweep,
@@ -42,7 +43,6 @@ from .priorbox import (
     FeatureMapSpec,
     PriorBoxLayout,
     default_layer_specs,
-    default_layout,
     generate_prior_centers,
     per_layer_counts,
     prior_box_count,

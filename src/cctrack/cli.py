@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import io, scenario, selfcheck
-from .evaluation import evaluate_at, threshold_sweep
+from .evaluation import evaluate_at, group_by_frame, threshold_sweep
 from .priorbox import default_layer_specs, prior_box_count
 from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
@@ -70,22 +70,17 @@ def _tracker_config_from_dict(data: dict, source: str) -> TrackerConfig:
     unknown = set(data) - known
     if unknown:
         raise io.FormatError(f"{source}: unknown tracker config keys: {sorted(unknown)}")
-    return TrackerConfig(**data)
+    try:
+        return TrackerConfig(**data)
+    except (TypeError, ValueError) as exc:
+        raise io.FormatError(f"{source}: {exc}") from None
 
 
 def _frame_update_json(update: FrameUpdate) -> str:
-    def det_dict(det):
-        return {
-            "frame": det.frame_index,
-            "bbox": list(det.bbox.as_tuple()),
-            "score": det.confidence,
-            "class": det.class_id,
-        }
-
     return json.dumps(
         {
             "frame": update.frame_index,
-            "matched": [[tid, det_dict(det)] for tid, det in update.matched],
+            "matched": [[tid, io.detection_record(det)] for tid, det in update.matched],
             "registered": list(update.registered),
             "disappeared_incremented": list(update.disappeared_incremented),
             "deregistered": list(update.deregistered),
@@ -97,7 +92,10 @@ def _frame_update_json(update: FrameUpdate) -> str:
 def _cmd_synth(args) -> int:
     config_data = _load_json_config(args.config)
     render = bool(config_data.pop("render_frames", True))
-    cfg = scenario.config_from_dict(config_data)
+    try:
+        cfg = scenario.config_from_dict(config_data)
+    except (TypeError, ValueError) as exc:
+        raise io.FormatError(f"{args.config}: {exc}") from None
     if args.seed is not None:
         cfg = scenario.with_seed(cfg, args.seed)
     out_dir = Path(args.out_dir)
@@ -124,9 +122,7 @@ def _cmd_track(args) -> int:
     frames = io.read_frames(args.frames) if args.frames else []
     config = _tracker_config_from_dict(_load_json_config(args.config), args.config)
 
-    by_frame: dict[int, list] = {}
-    for det in detections:
-        by_frame.setdefault(det.frame_index, []).append(det)
+    by_frame = group_by_frame(detections)
     last_frame = max(
         max(by_frame.keys(), default=-1),
         len(frames) - 1,
@@ -140,10 +136,8 @@ def _cmd_track(args) -> int:
     try:
         for frame_index in range(last_frame + 1):
             pixels = frames[frame_index] if frame_index < len(frames) else None
-            if frame_index % config.detection_interval == 0:
-                update = tracker.update(frame_index, by_frame.get(frame_index, []), pixels)
-            else:
-                update = tracker.update(frame_index, (), pixels)
+            scheduled = by_frame.get(frame_index, ()) if tracker.detects_next else ()
+            update = tracker.update(frame_index, scheduled, pixels)
             if trace_handle:
                 trace_handle.write(_frame_update_json(update) + "\n")
             for tid, point in update.positions:

@@ -185,7 +185,8 @@ def count_tn(
     return frame_count - sum(1 for f in occupied if 0 <= f < frame_count)
 
 
-def _group_by_frame(records):
+def group_by_frame(records) -> dict[int, list]:
+    """Records keyed by frame_index, input order kept within each frame."""
     grouped: dict[int, list] = {}
     for record in records:
         grouped.setdefault(record.frame_index, []).append(record)
@@ -214,8 +215,8 @@ def evaluate_at(
     if frame_count is None:
         frame_count = _infer_frame_count(detections, ground_truth)
     kept = [d for d in detections if d.confidence >= threshold]
-    det_frames = _group_by_frame(kept)
-    gt_frames = _group_by_frame(ground_truth)
+    det_frames = group_by_frame(kept)
+    gt_frames = group_by_frame(ground_truth)
     tp = fp = fn = 0
     for frame in sorted(det_frames.keys() | gt_frames.keys()):
         f_tp, f_fp, f_fn = match_frame(

@@ -7,7 +7,19 @@ are safe for unrestricted concurrent use.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+
+
+def require_number(name: str, value, integral: bool = False) -> None:
+    """Raise TypeError unless value is a real number (an integer if integral).
+
+    bool is rejected although Python counts it as an integer; numpy scalars
+    pass, since they register with the numbers ABCs.
+    """
+    kind, description = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise TypeError(f"{name} must be {description}, got {value!r}")
 
 
 @dataclass(frozen=True)

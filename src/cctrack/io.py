@@ -128,21 +128,22 @@ def read_detections(path: PathLike) -> list[Detection]:
     return detections
 
 
+def detection_record(det: Detection) -> dict:
+    """The JSON object of one detection line: {"frame", "bbox", "score", "class"}."""
+    return {
+        "frame": det.frame_index,
+        "bbox": list(det.bbox.as_tuple()),
+        "score": det.confidence,
+        "class": det.class_id,
+    }
+
+
 def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
     """Write detections as JSONL, sorted by frame with input order preserved."""
     records = sorted(enumerate(detections), key=lambda pair: (pair[1].frame_index, pair[0]))
     with open(path, "w", encoding="utf-8") as handle:
         for _, det in records:
-            handle.write(
-                json.dumps(
-                    {
-                        "frame": det.frame_index,
-                        "bbox": list(det.bbox.as_tuple()),
-                        "score": det.confidence,
-                        "class": det.class_id,
-                    }
-                )
-            )
+            handle.write(json.dumps(detection_record(det)))
             handle.write("\n")
 
 
@@ -298,8 +299,24 @@ def write_frames(directory: PathLike, frames: Sequence[np.ndarray]) -> list[Path
 
 
 def read_frames(directory: PathLike) -> list[np.ndarray]:
-    """Read all *.pgm files in a directory, sorted by name, as frames 0..n-1."""
+    """Read all *.pgm files in a directory, sorted by name, as frames 0..n-1.
+
+    The directory must hold at least one frame, and every frame must have
+    the shape of the first.
+    """
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
-    return [read_pgm(p) for p in sorted(directory.glob("*.pgm"))]
+    paths = sorted(directory.glob("*.pgm"))
+    if not paths:
+        raise FormatError(f"{directory}: no *.pgm frames")
+    frames = []
+    for path in paths:
+        frame = read_pgm(path)
+        if frames and frame.shape != frames[0].shape:
+            raise FormatError(
+                f"{path}: frame is {frame.shape[1]}x{frame.shape[0]}, "
+                f"but {paths[0].name} is {frames[0].shape[1]}x{frames[0].shape[0]}"
+            )
+        frames.append(frame)
+    return frames

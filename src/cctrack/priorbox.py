@@ -46,10 +46,6 @@ class PriorBoxLayout:
         if self.image_size < 1:
             raise ValueError(f"image_size must be positive, got {self.image_size}")
 
-    @property
-    def total_priors(self) -> int:
-        return prior_box_count(self.specs)
-
 
 def default_layer_specs() -> tuple[FeatureMapSpec, ...]:
     """The six detection layers, in network order.
@@ -65,10 +61,6 @@ def default_layer_specs() -> tuple[FeatureMapSpec, ...]:
         FeatureMapSpec("Conv10_2", 3, 3, 4),
         FeatureMapSpec("Conv11_2", 1, 1, 4),
     )
-
-
-def default_layout(image_size: int = 300) -> PriorBoxLayout:
-    return PriorBoxLayout(default_layer_specs(), image_size)
 
 
 def prior_box_count(specs: Iterable[FeatureMapSpec]) -> int:

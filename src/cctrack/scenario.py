@@ -19,8 +19,8 @@ from typing import Optional
 
 import numpy as np
 
-from .evaluation import GroundTruthRecord
-from .geometry import BoundingBox, Detection
+from .evaluation import GroundTruthRecord, group_by_frame
+from .geometry import BoundingBox, Detection, require_number
 
 _TEXTURE_STREAM = 7919  # seed-sequence tag separating texture rng from motion rng
 
@@ -48,6 +48,12 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("num_people", "frame_count", "person_box_size", "rng_seed"):
+            require_number(name, getattr(self, name), integral=True)
+        if len(self.image_size) != 2:
+            raise ValueError(f"image_size must be [width, height], got {self.image_size}")
+        for value in self.image_size:
+            require_number("image_size entry", value, integral=True)
         if self.num_people < 0:
             raise ValueError(f"num_people must be >= 0, got {self.num_people}")
         if self.frame_count < 1:
@@ -270,10 +276,7 @@ def render_frames(scenario: Scenario, config: Optional[ScenarioConfig] = None) -
     w, h = config.image_size
     tiles = person_textures(config)
 
-    by_frame: dict[int, list[GroundTruthRecord]] = {}
-    for record in scenario.ground_truth:
-        by_frame.setdefault(record.frame_index, []).append(record)
-
+    by_frame = group_by_frame(scenario.ground_truth)
     frames = []
     for frame in range(config.frame_count):
         image = np.full((h, w), 30, dtype=np.uint8)

@@ -4,7 +4,8 @@ Backs the `convcheck` subcommand: re-derives every kernel result with
 plain counted loops and checks the algebraic identities, reporting one
 PASS/FAIL line per property. The loop implementations below are written
 independently of kernels.py on purpose — they are the measuring stick,
-not the thing being measured.
+not the thing being measured — and the test suite uses them as its conv
+oracles too.
 """
 
 from __future__ import annotations
@@ -25,13 +26,16 @@ class CheckResult:
     detail: str
 
 
-class _MacCounter:
+class MultiplyCounter:
+    """Tallies every scalar multiply performed by the loop kernels."""
+
     def __init__(self):
         self.count = 0
 
 
-def _loop_conv_full(x, weights, stride, padding, counter):
-    """Nested-loop full convolution over (h, w, c) input; counts multiplies."""
+def conv_full_loops(x, weights, stride, padding, counter=None):
+    """Full convolution by nested loops over an (h, w, c) array; counts multiplies."""
+    counter = MultiplyCounter() if counter is None else counter
     h, w, c = x.shape
     out_c, k, _, _ = weights.shape
     padded = np.zeros((h + 2 * padding, w + 2 * padding, c))
@@ -52,7 +56,9 @@ def _loop_conv_full(x, weights, stride, padding, counter):
     return out
 
 
-def _loop_depthwise(x, per_channel, stride, padding, counter):
+def depthwise_loops(x, per_channel, stride, padding, counter=None):
+    """Per-channel 2D convolution by nested loops; counts multiplies."""
+    counter = MultiplyCounter() if counter is None else counter
     h, w, c = x.shape
     k = per_channel.shape[1]
     padded = np.zeros((h + 2 * padding, w + 2 * padding, c))
@@ -72,7 +78,9 @@ def _loop_depthwise(x, per_channel, stride, padding, counter):
     return out
 
 
-def _loop_pointwise(x, mix, counter):
+def pointwise_loops(x, mix, counter=None):
+    """Per-pixel channel mixing by nested loops; counts multiplies."""
+    counter = MultiplyCounter() if counter is None else counter
     h, w, c = x.shape
     out_c = mix.shape[0]
     out = np.zeros((h, w, out_c))
@@ -127,13 +135,12 @@ def check_kernels_against_loops(rng, trials=20, tol=1e-9) -> CheckResult:
         weights = rng.normal(size=(out_c, 3, 3, c))
         dw = rng.normal(size=(c, 3, 3))
         mix = rng.normal(size=(out_c, c))
-        counter = _MacCounter()
         full = kernels.conv2d_full(Tensor3(x), weights, ConvSpec(3, stride, 1, c, out_c))
-        full_ref = _loop_conv_full(x, weights, stride, 1, counter)
+        full_ref = conv_full_loops(x, weights, stride, 1)
         depth = kernels.depthwise_conv(Tensor3(x), dw, stride=stride, padding=1)
-        depth_ref = _loop_depthwise(x, dw, stride, 1, counter)
+        depth_ref = depthwise_loops(x, dw, stride, 1)
         point = kernels.pointwise_conv(Tensor3(x), mix)
-        point_ref = _loop_pointwise(x, mix, counter)
+        point_ref = pointwise_loops(x, mix)
         worst = max(
             worst,
             float(np.max(np.abs(full.data - full_ref))),
@@ -162,21 +169,21 @@ def check_mac_formulas(rng, trials=12) -> CheckResult:
         out_h = (h + 2 * padding - 3) // stride + 1
         out_w = (w + 2 * padding - 3) // stride + 1
 
-        counter = _MacCounter()
-        _loop_conv_full(x, rng.normal(size=(out_c, 3, 3, c)), stride, padding, counter)
+        counter = MultiplyCounter()
+        conv_full_loops(x, rng.normal(size=(out_c, 3, 3, c)), stride, padding, counter)
         if counter.count != kernels.full_conv_macs(out_h, out_w, 3, c, out_c):
             return CheckResult("MAC formulas match instrumented counters", False,
                                f"full conv: counted {counter.count}")
 
-        counter = _MacCounter()
-        _loop_depthwise(x, rng.normal(size=(c, 3, 3)), stride, padding, counter)
+        counter = MultiplyCounter()
+        depthwise_loops(x, rng.normal(size=(c, 3, 3)), stride, padding, counter)
         dw_count = counter.count
         if dw_count != kernels.depthwise_conv_macs(out_h, out_w, 3, c):
             return CheckResult("MAC formulas match instrumented counters", False,
                                f"depthwise: counted {dw_count}")
 
-        counter = _MacCounter()
-        _loop_pointwise(rng.normal(size=(out_h, out_w, c)), rng.normal(size=(out_c, c)), counter)
+        counter = MultiplyCounter()
+        pointwise_loops(rng.normal(size=(out_h, out_w, c)), rng.normal(size=(out_c, c)), counter)
         pw_count = counter.count
         if pw_count != kernels.pointwise_conv_macs(out_h, out_w, c, out_c):
             return CheckResult("MAC formulas match instrumented counters", False,
@@ -195,11 +202,11 @@ def check_mac_ratio_exact() -> CheckResult:
     c = 8
     out_c = 64
     x = np.zeros((h, w, c))
-    full_counter = _MacCounter()
-    _loop_conv_full(x, np.zeros((out_c, 3, 3, c)), 1, 1, full_counter)
-    sep_counter = _MacCounter()
-    _loop_depthwise(x, np.zeros((c, 3, 3)), 1, 1, sep_counter)
-    _loop_pointwise(np.zeros((h, w, c)), np.zeros((out_c, c)), sep_counter)
+    full_counter = MultiplyCounter()
+    conv_full_loops(x, np.zeros((out_c, 3, 3, c)), 1, 1, full_counter)
+    sep_counter = MultiplyCounter()
+    depthwise_loops(x, np.zeros((c, 3, 3)), 1, 1, sep_counter)
+    pointwise_loops(np.zeros((h, w, c)), np.zeros((out_c, c)), sep_counter)
     counted = Fraction(sep_counter.count, full_counter.count)
     expected = Fraction(1, 64) + Fraction(1, 9)
     formula = kernels.separable_to_full_mac_ratio(3, 64)

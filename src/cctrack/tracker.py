@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlation import correlate_track
-from .geometry import BoundingBox, Detection, Point, centroid, euclidean
+from .geometry import BoundingBox, Detection, Point, centroid, euclidean, require_number
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,10 @@ class TrackerConfig:
     search_margin: int = 20
 
     def __post_init__(self):
+        for name in ("max_disappearance", "detection_interval", "person_class_id", "search_margin"):
+            require_number(name, getattr(self, name), integral=True)
+        for name in ("max_distance", "confidence_threshold"):
+            require_number(name, getattr(self, name))
         if self.max_disappearance < 1:
             raise ValueError(f"max_disappearance must be positive, got {self.max_disappearance}")
         if not self.max_distance > 0:
@@ -185,6 +189,17 @@ class CentroidCorrelationTracker:
     def next_id(self) -> int:
         return self._next_id
 
+    @property
+    def detects_next(self) -> bool:
+        """Whether the next update is a detection frame.
+
+        The detector runs on every detection_interval-th call to update,
+        starting with the first; calls are counted, not frame indices. A
+        caller asks this before running its detector, and passes no
+        detections when it is False.
+        """
+        return self._update_count % self.config.detection_interval == 0
+
     def update(
         self,
         frame_index: int,
@@ -195,8 +210,7 @@ class CentroidCorrelationTracker:
 
         frame_index must strictly increase across calls; every detection
         must carry this frame's index. Whether this call is a detection or
-        a correlation update follows the configured detection_interval,
-        counted over calls to update.
+        a correlation update is detects_next, read before the call.
         """
         if self._last_frame_index is not None and frame_index <= self._last_frame_index:
             raise ValueError(
@@ -208,7 +222,7 @@ class CentroidCorrelationTracker:
                     f"detection from frame {det.frame_index} passed to update of frame {frame_index}"
                 )
 
-        detection_frame = self._update_count % self.config.detection_interval == 0
+        detection_frame = self.detects_next
         if not detection_frame and len(detections) > 0:
             raise ValueError(
                 "detections supplied on a correlation-scheduled frame; "

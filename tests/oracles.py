@@ -2,7 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (nested
 loops, exhaustive enumeration) and never calls the implementation under
-test.
+test. The convolution loop oracles are not here: they live in
+cctrack.selfcheck (conv_full_loops, depthwise_loops, pointwise_loops and
+MultiplyCounter), ship with the `convcheck` subcommand, and the tests
+import them from there, so the CLI and the tests measure against one copy.
 """
 
 from __future__ import annotations
@@ -15,75 +18,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from cctrack.correlation import _PEAK_TIE_EPS, CorrelationResult, _raster_bounds
 from cctrack.geometry import BoundingBox, euclidean
 from cctrack.tracker import AssociationResult
-
-
-class MultiplyCounter:
-    """Tallies every scalar multiply performed by the loop kernels."""
-
-    def __init__(self):
-        self.count = 0
-
-
-def conv_full_loops(x, weights, stride, padding, counter=None):
-    """Full convolution by nested loops over an (h, w, c) array."""
-    counter = counter or MultiplyCounter()
-    h, w, c = x.shape
-    out_c, k, _, _ = weights.shape
-    padded = np.zeros((h + 2 * padding, w + 2 * padding, c))
-    padded[padding : padding + h, padding : padding + w] = x
-    out_h = (h + 2 * padding - k) // stride + 1
-    out_w = (w + 2 * padding - k) // stride + 1
-    out = np.zeros((out_h, out_w, out_c))
-    for oy in range(out_h):
-        for ox in range(out_w):
-            for oc in range(out_c):
-                total = 0.0
-                for ky in range(k):
-                    for kx in range(k):
-                        for ic in range(c):
-                            total += padded[oy * stride + ky, ox * stride + kx, ic] * weights[oc, ky, kx, ic]
-                            counter.count += 1
-                out[oy, ox, oc] = total
-    return out
-
-
-def depthwise_loops(x, per_channel, stride, padding, counter=None):
-    """Per-channel 2D convolution by nested loops."""
-    counter = counter or MultiplyCounter()
-    h, w, c = x.shape
-    k = per_channel.shape[1]
-    padded = np.zeros((h + 2 * padding, w + 2 * padding, c))
-    padded[padding : padding + h, padding : padding + w] = x
-    out_h = (h + 2 * padding - k) // stride + 1
-    out_w = (w + 2 * padding - k) // stride + 1
-    out = np.zeros((out_h, out_w, c))
-    for oy in range(out_h):
-        for ox in range(out_w):
-            for ch in range(c):
-                total = 0.0
-                for ky in range(k):
-                    for kx in range(k):
-                        total += padded[oy * stride + ky, ox * stride + kx, ch] * per_channel[ch, ky, kx]
-                        counter.count += 1
-                out[oy, ox, ch] = total
-    return out
-
-
-def pointwise_loops(x, mix, counter=None):
-    """Per-pixel channel mixing by nested loops."""
-    counter = counter or MultiplyCounter()
-    h, w, c = x.shape
-    out_c = mix.shape[0]
-    out = np.zeros((h, w, out_c))
-    for oy in range(h):
-        for ox in range(w):
-            for oc in range(out_c):
-                total = 0.0
-                for ic in range(c):
-                    total += x[oy, ox, ic] * mix[oc, ic]
-                    counter.count += 1
-                out[oy, ox, oc] = total
-    return out
 
 
 def _distance(p, q):
@@ -125,25 +59,6 @@ def best_gated_matching(existing, incoming, max_distance):
 
     recurse(0, frozenset(), [], 0.0)
     return best["pairs"], best["size"], best["total"]
-
-
-def greedy_matching_reference(existing, incoming, max_distance):
-    """The documented greedy rule, re-implemented from its prose description."""
-    candidates = []
-    for track_id, track_point in existing:
-        for index, point in incoming:
-            d = _distance(track_point, point)
-            if d <= max_distance:
-                candidates.append((d, track_id, index))
-    candidates.sort()
-    used_t, used_i, pairs = set(), set(), []
-    for d, track_id, index in candidates:
-        if track_id in used_t or index in used_i:
-            continue
-        used_t.add(track_id)
-        used_i.add(index)
-        pairs.append((track_id, index))
-    return tuple(pairs)
 
 
 def associate_reference(existing, incoming, max_distance):

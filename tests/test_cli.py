@@ -116,6 +116,29 @@ class TestExitCodes:
         ])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("detection_interval", 2.5),
+            ("search_margin", 2.5),
+            ("max_disappearance", "3"),
+            ("confidence_threshold", None),
+        ],
+    )
+    def test_tracker_config_of_the_wrong_type_names_file_and_key(
+        self, tmp_path, capsys, key, value
+    ):
+        config = write_config(tmp_path, "trk.json", {key: value})
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        code = main([
+            "track", "--detections", str(dets), "--config", config,
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {key} must be" in err and err.count("\n") == 1
+
 
 class TestPriorboxes:
     def test_table_ends_with_total(self, capsys):
@@ -185,6 +208,18 @@ class TestSynth:
     def test_bad_config_key_is_data_error(self, tmp_path, capsys):
         config = write_config(tmp_path, "bad.json", {"nonsense": True})
         assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("num_people", 2.5), ("frame_count", "5"), ("image_size", [100.5, 80]), ("rng_seed", 1.5)],
+    )
+    def test_scenario_config_of_the_wrong_type_names_file_and_key(
+        self, tmp_path, capsys, key, value
+    ):
+        config = write_config(tmp_path, "bad.json", {"frame_count": 3, key: value})
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {key}" in err and "must be an integer" in err
 
 
 class TestEvalAndSweep:
@@ -364,6 +399,18 @@ class TestTrack:
         capsys.readouterr()
         assert len(calls) == 1
         assert len(traj.read_text().splitlines()) > 40
+
+    def test_empty_frames_directory_is_data_error(self, tmp_path, capsys):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        (tmp_path / "empty").mkdir()
+        config = write_config(tmp_path, "trk.json", {})
+        code = main([
+            "track", "--detections", str(dets), "--frames", str(tmp_path / "empty"),
+            "--config", config, "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        assert "empty: no *.pgm frames" in capsys.readouterr().err
 
     def test_empty_detections_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

@@ -218,6 +218,19 @@ class TestPgm:
         assert len(loaded) == 4
         assert all(np.array_equal(a, b) for a, b in zip(frames, loaded))
 
+    def test_frames_of_another_shape_rejected(self, tmp_path, rng):
+        frames = [rng.integers(0, 256, size=(12, 16)).astype(np.uint8) for _ in range(3)]
+        paths = write_frames(tmp_path / "frames", frames)
+        write_pgm(paths[2], np.zeros((5, 6), dtype=np.uint8))
+        with pytest.raises(FormatError, match=r"frame_000002\.pgm: frame is 6x5, but .* is 16x12"):
+            read_frames(tmp_path / "frames")
+
+    def test_frames_dir_without_pgm_rejected(self, tmp_path):
+        (tmp_path / "frames").mkdir()
+        (tmp_path / "frames" / "notes.txt").write_text("no frames here")
+        with pytest.raises(FormatError, match=r"frames: no \*\.pgm frames"):
+            read_frames(tmp_path / "frames")
+
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_bytes(b"JFIF....")

@@ -22,13 +22,7 @@ from cctrack.kernels import (
     separable_conv_macs,
     separable_to_full_mac_ratio,
 )
-
-from oracles import (
-    MultiplyCounter,
-    conv_full_loops,
-    depthwise_loops,
-    pointwise_loops,
-)
+from cctrack.selfcheck import MultiplyCounter, conv_full_loops, depthwise_loops, pointwise_loops
 
 
 def t3(array):

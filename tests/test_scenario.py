@@ -31,6 +31,19 @@ class TestConfig:
         with pytest.raises(ValueError):
             ScenarioConfig(speed_range=(5.0, 2.0))
 
+    def test_integer_fields_must_be_integers(self):
+        for overrides in (
+            dict(num_people=2.5),
+            dict(frame_count="5"),
+            dict(person_box_size=True),
+            dict(image_size=(100.5, 80)),
+            dict(rng_seed=1.5),
+        ):
+            with pytest.raises(TypeError, match="must be an integer"):
+                ScenarioConfig(**overrides)
+        config = ScenarioConfig(num_people=np.int64(2), image_size=(np.int32(100), 80))
+        assert config.crowd_category == "small"
+
     def test_crowd_categories(self):
         assert crowd_category(0) == "small"
         assert crowd_category(4) == "small"

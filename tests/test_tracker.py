@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cctrack.evaluation import group_by_frame
 from cctrack.geometry import BoundingBox, Point, centroid
 from cctrack.scenario import generate, preset_config, render_frames
 from cctrack.tracker import (
@@ -14,7 +15,7 @@ from cctrack.tracker import (
 )
 
 from conftest import det
-from oracles import associate_reference, best_gated_matching, greedy_matching_reference
+from oracles import associate_reference, best_gated_matching
 
 
 def make_tracker(**overrides):
@@ -26,6 +27,32 @@ def make_tracker(**overrides):
 def square(cx, cy, size=10.0):
     half = size / 2
     return BoundingBox(cx - half, cy - half, cx + half, cy + half)
+
+
+class TestConfig:
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("max_disappearance", 3.0),
+            ("detection_interval", 2.5),
+            ("person_class_id", True),
+            ("search_margin", "8"),
+            ("max_distance", None),
+            ("confidence_threshold", False),
+        ],
+    )
+    def test_mistyped_fields_rejected(self, key, value):
+        with pytest.raises(TypeError, match=f"{key} must be"):
+            TrackerConfig(**{key: value})
+
+    def test_numpy_scalars_accepted(self):
+        config = TrackerConfig(
+            max_disappearance=np.int64(3),
+            detection_interval=np.int32(2),
+            max_distance=np.float32(10.0),
+            confidence_threshold=np.float64(0.5),
+        )
+        assert config.detection_interval == 2
 
 
 class TestAssociate:
@@ -79,12 +106,8 @@ class TestAssociate:
             incoming = [(i, Point(*rng.uniform(0, 100, 2))) for i in range(n_points)]
             result = associate(existing, incoming, max_distance)
 
-            plain_existing = [(tid, (p.x, p.y)) for tid, p in existing]
-            plain_incoming = [(i, (p.x, p.y)) for i, p in incoming]
             # exactly the documented greedy rule
-            assert result.matches == greedy_matching_reference(
-                plain_existing, plain_incoming, max_distance
-            )
+            assert result == associate_reference(existing, incoming, max_distance)
             # one-to-one
             track_ids = [t for t, _ in result.matches]
             indices = [i for _, i in result.matches]
@@ -102,6 +125,8 @@ class TestAssociate:
                     d = np.hypot(positions[tid].x - points[i].x, positions[tid].y - points[i].y)
                     assert d > max_distance
             # never better than the exhaustive optimum, equal when they coincide
+            plain_existing = [(tid, (p.x, p.y)) for tid, p in existing]
+            plain_incoming = [(i, (p.x, p.y)) for i, p in incoming]
             oracle_pairs, best_size, best_total = best_gated_matching(
                 plain_existing, plain_incoming, max_distance
             )
@@ -421,13 +446,11 @@ class TestPositions:
         config = preset_config("large", frame_count=30, rng_seed=3)
         scenario = generate(config)
         frames = render_frames(scenario)
-        by_frame = {}
-        for detection in scenario.detections:
-            by_frame.setdefault(detection.frame_index, []).append(detection)
+        by_frame = group_by_frame(scenario.detections)
         tracker = CentroidCorrelationTracker(TrackerConfig(detection_interval=3))
         seen = {"matched": 0, "registered": 0, "correlated": 0}
         for index, pixels in enumerate(frames):
-            detections = by_frame.get(index, []) if index % 3 == 0 else ()
+            detections = by_frame.get(index, ()) if tracker.detects_next else ()
             update = tracker.update(index, detections, pixels)
             moved = (
                 [tid for tid, _ in update.matched]
@@ -474,9 +497,25 @@ class TestCorrelationFrames:
         with pytest.raises(ValueError, match="correlation-scheduled"):
             tracker.update(1, [det(1, 0, 0, 10, 10, 0.9)])
         # the failed call must not consume the frame slot or the schedule
+        assert tracker.detects_next is False
         update = tracker.update(1, ())
         assert update.frame_index == 1
         assert update.correlated == ()  # no pixels were supplied
+        tracker.update(2, ())
+        assert tracker.detects_next is True
+        with pytest.raises(ValueError, match="must increase"):
+            tracker.update(2, ())
+        assert tracker.detects_next is True
+
+    def test_detects_next_counts_calls_not_frame_indices(self):
+        tracker = make_tracker(detection_interval=3)
+        seen = []
+        for frame in (0, 7, 8, 20):
+            seen.append(tracker.detects_next)
+            detections = [det(frame, 0, 0, 10, 10, 0.9)] if tracker.detects_next else ()
+            update = tracker.update(frame, detections)
+        assert seen == [True, False, False, True]
+        assert [tid for tid, _ in update.matched] == [0]  # frame 20 ran the detector
 
     def test_correlation_without_pixels_coasts(self):
         tracker = make_tracker(detection_interval=2)
@@ -493,11 +532,9 @@ class TestCorrelationFrames:
         tracker = make_tracker(detection_interval=2, search_margin=6)
         tracker.update(0, [det(0, 10, 12, 22, 24, 0.9)], frames[0])
         for i in range(1, 6):
-            if i % 2 == 0:
-                x = 10 + 2 * i
-                tracker.update(i, [det(i, x, 12, x + 12, 24, 0.9)], frames[i])
-            else:
-                tracker.update(i, (), frames[i])
+            x = 10 + 2 * i
+            detections = [det(i, x, 12, x + 12, 24, 0.9)] if tracker.detects_next else ()
+            tracker.update(i, detections, frames[i])
         (track,) = tracker.live_tracks()
         history_frames = [f for f, _ in track.history]
         assert history_frames == list(range(6))
