@@ -41,10 +41,8 @@ from .kernels import (
 )
 from .priorbox import (
     FeatureMapSpec,
-    PriorBoxLayout,
     default_layer_specs,
     generate_prior_centers,
-    per_layer_counts,
     prior_box_count,
 )
 from .scenario import (

@@ -91,13 +91,15 @@ def _frame_update_json(update: FrameUpdate) -> str:
 
 def _cmd_synth(args) -> int:
     config_data = _load_json_config(args.config)
-    render = bool(config_data.pop("render_frames", True))
+    render = config_data.pop("render_frames", True)
+    if not isinstance(render, bool):
+        raise io.FormatError(f"{args.config}: render_frames must be true or false, got {render!r}")
     try:
         cfg = scenario.config_from_dict(config_data)
     except (TypeError, ValueError) as exc:
         raise io.FormatError(f"{args.config}: {exc}") from None
     if args.seed is not None:
-        cfg = scenario.with_seed(cfg, args.seed)
+        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -9,7 +9,7 @@ modeled; this module stops at grid geometry and counts.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .geometry import Point
 
@@ -31,20 +31,6 @@ class FeatureMapSpec:
     @property
     def num_priors(self) -> int:
         return self.grid_w * self.grid_h * self.boxes_per_cell
-
-
-@dataclass(frozen=True)
-class PriorBoxLayout:
-    """Ordered detection layers plus the (square) input image size."""
-
-    specs: tuple[FeatureMapSpec, ...]
-    image_size: int = 300
-
-    def __post_init__(self):
-        if not self.specs:
-            raise ValueError("layout needs at least one feature map spec")
-        if self.image_size < 1:
-            raise ValueError(f"image_size must be positive, got {self.image_size}")
 
 
 def default_layer_specs() -> tuple[FeatureMapSpec, ...]:
@@ -80,8 +66,3 @@ def generate_prior_centers(spec: FeatureMapSpec) -> list[Point]:
         for col in range(spec.grid_w):
             centers.append(Point((col + 0.5) / spec.grid_w, cy))
     return centers
-
-
-def per_layer_counts(specs: Sequence[FeatureMapSpec]) -> list[tuple[str, int]]:
-    """(layer name, prior count) pairs in layer order."""
-    return [(spec.name, spec.num_priors) for spec in specs]

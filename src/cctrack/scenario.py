@@ -14,7 +14,7 @@ contract, so identical configs reproduce byte-identical scenario files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -48,12 +48,16 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_people", "frame_count", "person_box_size", "rng_seed"):
-            require_number(name, getattr(self, name), integral=True)
-        if len(self.image_size) != 2:
-            raise ValueError(f"image_size must be [width, height], got {self.image_size}")
-        for value in self.image_size:
-            require_number("image_size entry", value, integral=True)
+        # Each field is type-checked by its annotation: int, float, or a pair of either.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type.startswith("tuple["):
+                if not isinstance(value, (tuple, list)) or len(value) != 2:
+                    raise TypeError(f"{f.name} must be a pair, got {value!r}")
+                for entry in value:
+                    _require_field(f"{f.name} entry", entry, f.type == "tuple[int, int]")
+            else:
+                _require_field(f.name, value, f.type == "int")
         if self.num_people < 0:
             raise ValueError(f"num_people must be >= 0, got {self.num_people}")
         if self.frame_count < 1:
@@ -89,6 +93,13 @@ class ScenarioConfig:
     @property
     def crowd_category(self) -> str:
         return crowd_category(self.num_people)
+
+
+def _require_field(name: str, value, integral: bool) -> None:
+    """An integer, or a finite real number; never a bool."""
+    require_number(name, value, integral=integral)
+    if not integral and not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def crowd_category(num_people: int) -> str:
@@ -160,7 +171,7 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     if unknown:
         raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
     for key in ("image_size", "speed_range", "clutter_size_range"):
-        if key in data:
+        if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     if preset is not None:
         return preset_config(preset, **data)
@@ -293,7 +304,3 @@ def render_frames(scenario: Scenario, config: Optional[ScenarioConfig] = None) -
             ]
         frames.append(image)
     return frames
-
-
-def with_seed(config: ScenarioConfig, rng_seed: int) -> ScenarioConfig:
-    return replace(config, rng_seed=rng_seed)

@@ -2,10 +2,10 @@
 
 Everything here is deliberately written the slow, obvious way (nested
 loops, exhaustive enumeration) and never calls the implementation under
-test. The convolution loop oracles are not here: they live in
-cctrack.selfcheck (conv_full_loops, depthwise_loops, pointwise_loops and
-MultiplyCounter), ship with the `convcheck` subcommand, and the tests
-import them from there, so the CLI and the tests measure against one copy.
+test. The convolution kernels have no oracle here: their properties live
+once, in the six check_* functions of cctrack.selfcheck that back the
+`convcheck` subcommand, and tests/test_kernels.py runs those checks at
+seeds 0-4 and against planted kernel faults instead of re-deriving them.
 """
 
 from __future__ import annotations

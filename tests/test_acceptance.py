@@ -7,20 +7,12 @@ lines; every test also enforces its runtime budget.
 import csv
 import json
 import time
-from fractions import Fraction
 
 import numpy as np
 
 from cctrack.cli import main
 from cctrack.evaluation import NINE_THRESHOLDS, evaluate_at, threshold_sweep
 from cctrack.geometry import BoundingBox, Detection, Point, centroid
-from cctrack.kernels import (
-    ConvSpec,
-    Tensor3,
-    conv2d_full,
-    depthwise_separable,
-    separable_to_full_mac_ratio,
-)
 from cctrack.correlation import correlate_track
 from cctrack.io import (
     read_detections,
@@ -29,7 +21,7 @@ from cctrack.io import (
     write_ground_truth,
 )
 from cctrack.scenario import generate, preset_config
-from cctrack.selfcheck import MultiplyCounter, conv_full_loops, depthwise_loops, pointwise_loops
+from cctrack.selfcheck import check_mac_ratio_exact, check_separable_equivalence
 from cctrack.tracker import CentroidCorrelationTracker, TrackerConfig, associate
 
 from oracles import associate_reference, best_gated_matching
@@ -66,32 +58,11 @@ def test_criterion_1_prior_box_arithmetic(capsys):
 
 def test_criterion_2_kernel_equivalence(capsys):
     budget = _Budget(10.0)
-    rng = np.random.default_rng(20240901)
-    worst = 0.0
-    for _ in range(100):
-        h, w = (int(v) for v in rng.integers(2, 9, 2))
-        c = int(rng.integers(1, 5))
-        out_c = int(rng.integers(1, 5))
-        x = Tensor3(rng.normal(size=(h, w, c)))
-        dw = rng.normal(size=(c, 3, 3))
-        mix = rng.normal(size=(out_c, c))
-        sep = depthwise_separable(x, dw, mix, stride=1, padding=1)
-        factorized = np.einsum("cij,oc->oijc", dw, mix)
-        full = conv2d_full(x, factorized, ConvSpec(3, 1, 1, c, out_c))
-        worst = max(worst, float(np.max(np.abs(sep.data - full.data))))
-    assert worst <= 1e-9, f"max elementwise difference {worst}"
-
-    # instrumented counters on a real k=3, out_c=64 configuration
-    h = w = 4
-    c = 8
-    x = np.zeros((h, w, c))
-    full_counter = MultiplyCounter()
-    conv_full_loops(x, np.zeros((64, 3, 3, c)), 1, 1, full_counter)
-    sep_counter = MultiplyCounter()
-    depthwise_loops(x, np.zeros((c, 3, 3)), 1, 1, sep_counter)
-    pointwise_loops(x, np.zeros((64, c)), sep_counter)
-    assert Fraction(sep_counter.count, full_counter.count) == Fraction(1, 64) + Fraction(1, 9)
-    assert separable_to_full_mac_ratio(3, 64) == 1 / 64 + 1 / 9
+    for result in (
+        check_separable_equivalence(np.random.default_rng(20240901), trials=100),
+        check_mac_ratio_exact(),
+    ):
+        assert result.passed, f"{result.name}: {result.detail}"
     with capsys.disabled():
         _report(2, "separable==factorized full within 1e-9 on 100 instances; "
                    "MAC ratio exactly 1/64 + 1/9", budget)

@@ -221,6 +221,32 @@ class TestSynth:
         err = capsys.readouterr().err
         assert f"{config}: {key}" in err and "must be an integer" in err
 
+    @pytest.mark.parametrize(
+        "key, value, complaint",
+        [
+            ("confidence_mean", None, "must be a number"),
+            ("box_jitter", float("inf"), "must be finite"),
+            ("crowd_radius", float("nan"), "must be finite"),
+            ("confidence_std", "0.1", "must be a number"),
+            ("clutter_size_range", [1.0], "must be a pair"),
+        ],
+    )
+    def test_scenario_float_field_of_the_wrong_type_names_file_and_key(
+        self, tmp_path, capsys, key, value, complaint
+    ):
+        config = write_config(tmp_path, "bad.json", {"frame_count": 3, key: value})
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert f"{config}: {key}" in err and complaint in err
+
+    @pytest.mark.parametrize("value", ["false", None, 0])
+    def test_render_frames_must_be_a_boolean(self, tmp_path, capsys, value):
+        config = write_config(tmp_path, "bad.json", {"frame_count": 3, "render_frames": value})
+        out_dir = tmp_path / "x"
+        assert main(["synth", "--config", config, "--out-dir", str(out_dir)]) == 2
+        assert f"{config}: render_frames must be true or false" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 class TestEvalAndSweep:
     @pytest.fixture

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import cctrack.kernels
 from cctrack.kernels import (
     BatchNormParams,
     ConvSpec,
@@ -12,17 +13,22 @@ from cctrack.kernels import (
     conv2d_full,
     conv_output_size,
     depthwise_conv,
-    depthwise_conv_macs,
     depthwise_separable,
     full_conv_macs,
     inverted_residual,
     pointwise_conv,
-    pointwise_conv_macs,
     relu,
     separable_conv_macs,
-    separable_to_full_mac_ratio,
 )
-from cctrack.selfcheck import MultiplyCounter, conv_full_loops, depthwise_loops, pointwise_loops
+from cctrack.selfcheck import (
+    check_channel_independence,
+    check_identities,
+    check_kernels_against_loops,
+    check_mac_formulas,
+    check_mac_ratio_exact,
+    check_separable_equivalence,
+    run_all,
+)
 
 
 def t3(array):
@@ -67,18 +73,6 @@ class TestFullConv:
         assert out.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == 9.0
 
-    def test_agrees_with_loop_oracle(self, rng):
-        for _ in range(25):
-            h, w = rng.integers(3, 8, 2)
-            c, out_c = rng.integers(1, 4, 2)
-            stride = int(rng.integers(1, 3))
-            padding = int(rng.integers(0, 2))
-            x = rng.normal(size=(h, w, c))
-            weights = rng.normal(size=(out_c, 3, 3, c))
-            got = conv2d_full(t3(x), weights, ConvSpec(3, stride, padding, int(c), int(out_c)))
-            want = conv_full_loops(x, weights, stride, padding)
-            assert np.max(np.abs(got.data - want)) < 1e-12
-
     def test_shape_mismatch_names_dimension(self):
         x = t3(np.zeros((4, 4, 2)))
         bad = np.zeros((3, 3, 3, 5))
@@ -105,26 +99,6 @@ class TestDepthwise:
         assert np.all(out.data[:, :, 0] == 0)
         assert np.array_equal(out.data[:, :, 1], x[:, :, 1])
 
-    def test_agrees_with_loop_oracle(self, rng):
-        x = rng.normal(size=(4, 4, 2))
-        kernels = rng.normal(size=(2, 3, 3))
-        got = depthwise_conv(t3(x), kernels, stride=1, padding=0)
-        want = depthwise_loops(x, kernels, 1, 0)
-        assert np.max(np.abs(got.data - want)) < 1e-9
-
-    def test_perturbing_other_channels_never_leaks(self, rng):
-        for _ in range(30):
-            c = int(rng.integers(2, 5))
-            x = rng.normal(size=(6, 6, c))
-            kernels = rng.normal(size=(c, 3, 3))
-            base = depthwise_conv(t3(x), kernels, 1, 1).data
-            target = int(rng.integers(0, c))
-            bumped = x.copy()
-            bumped[:, :, target] += rng.normal(size=(6, 6))
-            out = depthwise_conv(t3(bumped), kernels, 1, 1).data
-            keep = [ch for ch in range(c) if ch != target]
-            assert np.array_equal(out[:, :, keep], base[:, :, keep])
-
     def test_channel_mismatch_rejected(self):
         with pytest.raises(ValueError, match="channel"):
             depthwise_conv(t3(np.zeros((3, 3, 2))), np.zeros((3, 3, 3)))
@@ -146,12 +120,6 @@ class TestPointwise:
         x = rng.normal(size=(2, 5, 3))
         assert np.all(pointwise_conv(t3(x), np.zeros((4, 3))).data == 0)
 
-    def test_agrees_with_loop_oracle(self, rng):
-        x = rng.normal(size=(4, 3, 3))
-        mix = rng.normal(size=(5, 3))
-        got = pointwise_conv(t3(x), mix)
-        assert np.max(np.abs(got.data - pointwise_loops(x, mix))) < 1e-12
-
     def test_mismatch_rejected(self):
         with pytest.raises(ValueError, match="columns"):
             pointwise_conv(t3(np.zeros((2, 2, 3))), np.zeros((4, 2)))
@@ -171,27 +139,8 @@ class TestSeparable:
         two_step = pointwise_conv(depthwise_conv(x, kernels, 1, 1), mix)
         assert np.array_equal(fused.data, two_step.data)
 
-    def test_equals_factorized_full_conv(self, rng):
-        # weights W[o,i,j,c] = dw[c,i,j] * mix[o,c] make the full conv separable
-        for _ in range(30):
-            h, w = (int(v) for v in rng.integers(3, 9, 2))
-            c = int(rng.integers(1, 5))
-            out_c = int(rng.integers(1, 5))
-            x = t3(rng.normal(size=(h, w, c)))
-            dw = rng.normal(size=(c, 3, 3))
-            mix = rng.normal(size=(out_c, c))
-            sep = depthwise_separable(x, dw, mix, stride=1, padding=1)
-            full_weights = np.einsum("cij,oc->oijc", dw, mix)
-            full = conv2d_full(x, full_weights, ConvSpec(3, 1, 1, c, out_c))
-            assert np.max(np.abs(sep.data - full.data)) < 1e-9
-
 
 class TestBatchNormRelu:
-    def test_identity_parameters(self, rng):
-        x = t3(rng.normal(size=(3, 4, 2)))
-        out = batchnorm(x, np.zeros(2), np.ones(2), np.ones(2), np.zeros(2), epsilon=0.0)
-        assert np.array_equal(out.data, x.data)
-
     def test_centering_a_constant_channel(self):
         x = t3(np.full((2, 2, 1), 7.0))
         out = batchnorm(x, np.array([7.0]), np.ones(1), np.ones(1), np.zeros(1), epsilon=0.0)
@@ -227,19 +176,6 @@ class TestBatchNormRelu:
 
 
 class TestInvertedResidual:
-    def test_zero_weights_identity_through_skip(self, rng):
-        x = t3(rng.normal(size=(5, 5, 4)))
-        weights = InvertedResidualWeights.zeros(4, 4, expansion_factor=6)
-        out = inverted_residual(x, 6, weights, stride=1)
-        assert np.array_equal(out.data, x.data)
-
-    def test_stride_two_halves_and_drops_skip(self, rng):
-        x = t3(rng.normal(size=(6, 6, 3)))
-        weights = InvertedResidualWeights.zeros(3, 3, expansion_factor=2)
-        out = inverted_residual(x, 2, weights, stride=2)
-        assert out.shape == (3, 3, 3)
-        assert np.all(out.data == 0)  # zero weights, no residual add
-
     def test_matches_explicit_stage_composition(self, rng):
         c, out_c, t = 3, 5, 2
         x = t3(rng.normal(size=(5, 5, c)))
@@ -305,48 +241,6 @@ class TestMacAccounting:
     def test_degenerate_single_mac(self):
         assert full_conv_macs(1, 1, 1, 1, 1) == 1
 
-    def test_formulas_match_instrumented_counters(self, rng):
-        for _ in range(10):
-            h, w = (int(v) for v in rng.integers(3, 7, 2))
-            c = int(rng.integers(1, 4))
-            out_c = int(rng.integers(1, 5))
-            stride = int(rng.integers(1, 3))
-            padding = int(rng.integers(0, 2))
-            out_h = (h + 2 * padding - 3) // stride + 1
-            out_w = (w + 2 * padding - 3) // stride + 1
-            if out_h < 1 or out_w < 1:
-                continue
-            x = rng.normal(size=(h, w, c))
-
-            counter = MultiplyCounter()
-            conv_full_loops(x, rng.normal(size=(out_c, 3, 3, c)), stride, padding, counter)
-            assert counter.count == full_conv_macs(out_h, out_w, 3, c, out_c)
-
-            dw_counter = MultiplyCounter()
-            depthwise_loops(x, rng.normal(size=(c, 3, 3)), stride, padding, dw_counter)
-            assert dw_counter.count == depthwise_conv_macs(out_h, out_w, 3, c)
-
-            pw_counter = MultiplyCounter()
-            pointwise_loops(rng.normal(size=(out_h, out_w, c)), rng.normal(size=(out_c, c)), pw_counter)
-            assert pw_counter.count == pointwise_conv_macs(out_h, out_w, c, out_c)
-
-            assert dw_counter.count + pw_counter.count == separable_conv_macs(
-                out_h, out_w, 3, c, out_c
-            )
-
-    def test_ratio_for_k3_out64_is_exact(self):
-        # counted on a real configuration, then compared as exact fractions
-        h = w = 4
-        c, out_c = 8, 64
-        x = np.zeros((h, w, c))
-        full_counter = MultiplyCounter()
-        conv_full_loops(x, np.zeros((out_c, 3, 3, c)), 1, 1, full_counter)
-        sep_counter = MultiplyCounter()
-        depthwise_loops(x, np.zeros((c, 3, 3)), 1, 1, sep_counter)
-        pointwise_loops(x, np.zeros((out_c, c)), sep_counter)
-        assert Fraction(sep_counter.count, full_counter.count) == Fraction(1, 64) + Fraction(1, 9)
-        assert separable_to_full_mac_ratio(3, 64) == 1 / 64 + 1 / 9
-
     def test_ratio_formula_matches_counts_generally(self, rng):
         for _ in range(5):
             k = 3
@@ -356,3 +250,60 @@ class TestMacAccounting:
             sep = separable_conv_macs(out_h, out_w, k, c, out_c)
             full = full_conv_macs(out_h, out_w, k, c, out_c)
             assert Fraction(sep, full) == Fraction(1, out_c) + Fraction(1, k * k)
+
+
+def _leak_across_channels(out):
+    """Adds a trace of every output channel into all of them."""
+    return Tensor3(out.data + 1e-3 * out.data.sum(axis=2, keepdims=True))
+
+
+class TestConvcheckProperties:
+    """The kernel properties live once, in cctrack.selfcheck; these run them."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_check_passes(self, seed):
+        failed = [f"{r.name}: {r.detail}" for r in run_all(seed) if not r.passed]
+        assert not failed
+
+    @pytest.mark.parametrize(
+        "check, name, fault",
+        [
+            pytest.param(
+                check_separable_equivalence, "depthwise_separable",
+                lambda real: lambda x, dw, mix, stride=1, padding=0: real(
+                    x, np.transpose(dw, (0, 2, 1)), mix, stride, padding),
+                id="separable-transposed-depthwise-kernel",
+            ),
+            pytest.param(
+                check_kernels_against_loops, "conv2d_full",
+                lambda real: lambda x, w, spec: real(x, w[:, ::-1, ::-1, :], spec),
+                id="full-conv-flipped-kernel",
+            ),
+            pytest.param(
+                check_channel_independence, "depthwise_conv",
+                lambda real: lambda *args, **kwargs: _leak_across_channels(real(*args, **kwargs)),
+                id="depthwise-channel-leak",
+            ),
+            pytest.param(
+                check_identities, "batchnorm",
+                lambda real: lambda x, mean, variance, scale, shift, epsilon=1e-5: real(
+                    x, mean, variance, scale, shift, 1e-5),
+                id="batchnorm-ignores-epsilon-zero",
+            ),
+            pytest.param(
+                check_mac_formulas, "full_conv_macs",
+                lambda real: lambda *args: real(*args) + 1,
+                id="full-conv-macs-plus-one",
+            ),
+            pytest.param(
+                check_mac_ratio_exact, "separable_to_full_mac_ratio",
+                lambda real: lambda *args: real(*args) + 1e-3,
+                id="mac-ratio-plus-1e-3",
+            ),
+        ],
+    )
+    def test_check_reports_planted_fault(self, monkeypatch, check, name, fault):
+        monkeypatch.setattr(cctrack.kernels, name, fault(getattr(cctrack.kernels, name)))
+        result = check() if check is check_mac_ratio_exact else check(np.random.default_rng(0))
+        assert not result.passed
+

@@ -2,10 +2,8 @@ import pytest
 
 from cctrack.priorbox import (
     FeatureMapSpec,
-    PriorBoxLayout,
     default_layer_specs,
     generate_prior_centers,
-    per_layer_counts,
     prior_box_count,
 )
 
@@ -24,8 +22,6 @@ def test_spec_validation():
         FeatureMapSpec("bad", 0, 3, 4)
     with pytest.raises(ValueError):
         FeatureMapSpec("bad", 3, 3, 0)
-    with pytest.raises(ValueError):
-        PriorBoxLayout(())
 
 
 def test_default_layers_in_order():
@@ -39,7 +35,9 @@ def test_default_layers_in_order():
 
 def test_per_layer_contributions_and_total():
     specs = default_layer_specs()
-    assert per_layer_counts(specs) == [(name, count) for name, _, _, _, count in EXPECTED_LAYERS]
+    assert [(s.name, s.num_priors) for s in specs] == [
+        (name, count) for name, _, _, _, count in EXPECTED_LAYERS
+    ]
     assert prior_box_count(specs) == 8732
 
 

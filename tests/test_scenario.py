@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ from cctrack.scenario import (
     generate,
     preset_config,
     render_frames,
-    with_seed,
 )
 
 
@@ -43,6 +43,15 @@ class TestConfig:
                 ScenarioConfig(**overrides)
         config = ScenarioConfig(num_people=np.int64(2), image_size=(np.int32(100), 80))
         assert config.crowd_category == "small"
+
+    def test_float_fields_must_be_finite_numbers(self):
+        for overrides in (dict(box_jitter=True), dict(speed_range=(1.0, "4")), dict(speed_range=2.0)):
+            with pytest.raises(TypeError, match=next(iter(overrides))):
+                ScenarioConfig(**overrides)
+        with pytest.raises(ValueError, match="false_positive_rate must be finite"):
+            ScenarioConfig(false_positive_rate=math.inf)
+        config = ScenarioConfig(box_jitter=np.float32(0.5), speed_range=(1, np.float64(2.0)))
+        assert config.box_jitter == 0.5
 
     def test_crowd_categories(self):
         assert crowd_category(0) == "small"
@@ -93,7 +102,7 @@ class TestGenerate:
 
     def test_different_seed_different_scenario(self):
         cfg = preset_config("medium", frame_count=40, rng_seed=21)
-        other = generate(with_seed(cfg, 22))
+        other = generate(replace(cfg, rng_seed=22))
         assert other.detections != generate(cfg).detections
 
     def test_ground_truth_boxes_stay_inside_the_image(self):
