@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -14,7 +15,8 @@ import sys
 from pathlib import Path
 
 from . import io, scenario, selfcheck
-from .evaluation import evaluate_at, group_by_frame, threshold_sweep
+from .evaluation import evaluate_at, group_by_frame, require_fraction, threshold_sweep
+from .geometry import config_from_fields, require_number
 from .priorbox import default_layer_specs, prior_box_count
 from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
@@ -38,7 +40,11 @@ def _fmt(value) -> str:
 
 
 def parse_threshold_range(text: str) -> list[float]:
-    """Expand start:end:step into an inclusive list (1e-9 endpoint tolerance)."""
+    """Expand start:end:step into an inclusive list (1e-9 endpoint tolerance).
+
+    start and end must be finite numbers in [0, 1], and step at least the
+    1e-9 quantum the thresholds are rounded to.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"threshold range must be start:end:step, got {text!r}")
@@ -46,8 +52,10 @@ def parse_threshold_range(text: str) -> list[float]:
         start, end, step = (float(p) for p in parts)
     except ValueError:
         raise ValueError(f"threshold range has non-numeric parts: {text!r}") from None
-    if step <= 0:
-        raise ValueError(f"threshold step must be positive, got {step}")
+    require_fraction("threshold range start", start)
+    require_fraction("threshold range end", end)
+    if not require_number("threshold step", step) >= 1e-9:
+        raise ValueError(f"threshold step must be at least 1e-9, the rounding quantum, got {step}")
     if end < start - 1e-9:
         raise ValueError(f"threshold range end {end} precedes start {start}")
     count = int(math.floor((end - start) / step + 1e-9)) + 1
@@ -59,19 +67,19 @@ def _load_json_config(path: str) -> dict:
         try:
             data = json.load(handle)
         except json.JSONDecodeError as exc:
-            raise io.FormatError(f"{path}: malformed JSON: {exc.msg} (line {exc.lineno})")
+            raise ValueError(f"malformed JSON: {exc.msg} (line {exc.lineno})") from None
+        except RecursionError:
+            raise ValueError("malformed JSON: nested too deeply") from None
     if not isinstance(data, dict):
-        raise io.FormatError(f"{path}: config must be a JSON object")
+        raise ValueError("config must be a JSON object")
     return data
 
 
-def _tracker_config_from_dict(data: dict, source: str) -> TrackerConfig:
-    known = {f.name for f in dataclasses.fields(TrackerConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise io.FormatError(f"{source}: unknown tracker config keys: {sorted(unknown)}")
+@contextlib.contextmanager
+def _errors_name(source: str):
+    """Turn a TypeError or ValueError raised in the block into a FormatError naming source."""
     try:
-        return TrackerConfig(**data)
+        yield
     except (TypeError, ValueError) as exc:
         raise io.FormatError(f"{source}: {exc}") from None
 
@@ -90,16 +98,15 @@ def _frame_update_json(update: FrameUpdate) -> str:
 
 
 def _cmd_synth(args) -> int:
-    config_data = _load_json_config(args.config)
-    render = config_data.pop("render_frames", True)
-    if not isinstance(render, bool):
-        raise io.FormatError(f"{args.config}: render_frames must be true or false, got {render!r}")
-    try:
+    with _errors_name(args.config):
+        config_data = _load_json_config(args.config)
+        render = config_data.pop("render_frames", True)
+        if not isinstance(render, bool):
+            raise ValueError(f"render_frames must be true or false, got {render!r}")
         cfg = scenario.config_from_dict(config_data)
-    except (TypeError, ValueError) as exc:
-        raise io.FormatError(f"{args.config}: {exc}") from None
     if args.seed is not None:
-        cfg = dataclasses.replace(cfg, rng_seed=args.seed)
+        with _errors_name("--seed"):
+            cfg = dataclasses.replace(cfg, rng_seed=args.seed)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -112,7 +119,11 @@ def _cmd_synth(args) -> int:
         f"{len(scn.detections)} detections"
     )
     if render:
-        frames = scenario.render_frames(scn)
+        try:
+            frames = scenario.render_frames(scn)
+        except MemoryError:
+            w, h = cfg.image_size
+            raise io.FormatError(f"{args.config}: image_size {w}x{h} frames do not fit in memory")
         io.write_frames(out_dir / "frames", frames)
         message += f", {len(frames)} frames"
     print(message)
@@ -122,7 +133,8 @@ def _cmd_synth(args) -> int:
 def _cmd_track(args) -> int:
     detections = io.read_detections(args.detections)
     frames = io.read_frames(args.frames) if args.frames else []
-    config = _tracker_config_from_dict(_load_json_config(args.config), args.config)
+    with _errors_name(args.config):
+        config = config_from_fields(TrackerConfig, _load_json_config(args.config))
 
     by_frame = group_by_frame(detections)
     last_frame = max(
@@ -161,6 +173,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    require_fraction("--iou", args.iou)
     detections = io.read_detections(args.detections)
     ground_truth = io.read_ground_truth(args.groundtruth)
     report = evaluate_at(
@@ -175,9 +188,11 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    require_fraction("--iou", args.iou)
+    with _errors_name("--thresholds"):
+        thresholds = parse_threshold_range(args.thresholds)
     detections = io.read_detections(args.detections)
     ground_truth = io.read_ground_truth(args.groundtruth)
-    thresholds = parse_threshold_range(args.thresholds)
     reports = threshold_sweep(
         detections,
         ground_truth,

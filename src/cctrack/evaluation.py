@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, Detection, require_number
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -185,6 +185,13 @@ def count_tn(
     return frame_count - sum(1 for f in occupied if 0 <= f < frame_count)
 
 
+def require_fraction(name: str, value) -> float:
+    """Return value if it is a finite number in [0, 1]; name labels the error."""
+    if not 0.0 <= require_number(name, value) <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
 def group_by_frame(records) -> dict[int, list]:
     """Records keyed by frame_index, input order kept within each frame."""
     grouped: dict[int, list] = {}
@@ -210,8 +217,8 @@ def evaluate_at(
     frame_count fixes the frame universe for TN counting; when omitted it
     is inferred as the highest frame index present plus one.
     """
-    if not (0.0 <= threshold <= 1.0):
-        raise ValueError(f"threshold must be in [0, 1], got {threshold}")
+    require_fraction("threshold", threshold)
+    require_fraction("iou_threshold", iou_threshold)
     if frame_count is None:
         frame_count = _infer_frame_count(detections, ground_truth)
     kept = [d for d in detections if d.confidence >= threshold]

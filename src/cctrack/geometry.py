@@ -1,4 +1,4 @@
-"""Core geometric types and pure functions shared across the toolkit.
+"""Core geometric types, pure functions and input checks shared across the toolkit.
 
 All types are immutable value objects and all operations are pure, so they
 are safe for unrestricted concurrent use.
@@ -8,18 +8,50 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 
-def require_number(name: str, value, integral: bool = False) -> None:
-    """Raise TypeError unless value is a real number (an integer if integral).
+def require_number(name: str, value, integral: bool = False):
+    """Return value if it is an integer (integral) or a finite real number.
 
-    bool is rejected although Python counts it as an integer; numpy scalars
-    pass, since they register with the numbers ABCs.
+    A bool or a value of the wrong kind raises TypeError; numpy scalars pass.
+    A real past the float range, or not finite, raises ValueError. Builtin
+    int and float are tested first: the numbers ABCs cost more per record.
     """
-    kind, description = (numbers.Integral, "an integer") if integral else (numbers.Real, "a number")
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise TypeError(f"{name} must be {description}, got {value!r}")
+    kind = type(value)
+    if integral:
+        if kind is int or (kind is not bool and isinstance(value, numbers.Integral)):
+            return value
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if not (kind is float or kind is int or (kind is not bool and isinstance(value, numbers.Real))):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    try:
+        if math.isfinite(value):
+            return value
+    except OverflowError:
+        raise ValueError(f"{name} is out of the float range") from None
+    raise ValueError(f"{name} must be finite, got {value!r}")
+
+
+def require_fields(config) -> None:
+    """Check each field of a config dataclass by its annotation: int, float, or a pair."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type.startswith("tuple["):
+            if not isinstance(value, (tuple, list)) or len(value) != 2:
+                raise TypeError(f"{f.name} must be a pair, got {value!r}")
+            for entry in value:
+                require_number(f"{f.name} entry", entry, f.type == "tuple[int, int]")
+        else:
+            require_number(f.name, value, f.type == "int")
+
+
+def config_from_fields(cls, data: dict):
+    """cls(**data) for a config dataclass, naming any key that is not a field."""
+    unknown = data.keys() - {f.name for f in fields(cls)}
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    return cls(**data)
 
 
 @dataclass(frozen=True)

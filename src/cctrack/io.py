@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import re
 from pathlib import Path
 from typing import Iterable, Sequence, Union
@@ -19,7 +18,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .evaluation import GroundTruthRecord
-from .geometry import BoundingBox, Detection
+from .geometry import BoundingBox, Detection, require_number
 
 PathLike = Union[str, Path]
 
@@ -50,24 +49,6 @@ def _utf8_lines(handle, path: PathLike):
         yield line
 
 
-def _require_number(value, path: PathLike, line: int, field: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, line, f"field {field!r} must be a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:
-        _fail(path, line, f"field {field!r} is out of the float range")
-    if not math.isfinite(number):
-        _fail(path, line, f"field {field!r} must be finite, got {value!r}")
-    return number
-
-
-def _require_int(value, path: PathLike, line: int, field: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, line, f"field {field!r} must be an integer, got {value!r}")
-    return value
-
-
 def read_detections(path: PathLike) -> list[Detection]:
     """Parse and validate a detection JSONL file.
 
@@ -96,29 +77,25 @@ def read_detections(path: PathLike) -> list[Detection]:
             if missing:
                 _fail(path, line_no, f"missing field(s): {sorted(missing)}")
 
-            frame = _require_int(obj["frame"], path, line_no, "frame")
-            if frame < 0:
-                _fail(path, line_no, f"field 'frame' must be non-negative, got {frame}")
-            if frame < previous_frame:
-                _fail(
-                    path,
-                    line_no,
-                    f"field 'frame' out of order: {frame} after {previous_frame}",
-                )
+            try:
+                frame = require_number("field 'frame'", obj["frame"], integral=True)
+                if frame < 0:
+                    raise ValueError(f"field 'frame' must be non-negative, got {frame}")
+                if frame < previous_frame:
+                    raise ValueError(f"field 'frame' out of order: {frame} after {previous_frame}")
+                bbox = obj["bbox"]
+                if not isinstance(bbox, list) or len(bbox) != 4:
+                    raise ValueError("field 'bbox' must be a 4-element [x1, y1, x2, y2] list")
+                coords = [float(require_number("field 'bbox'", v)) for v in bbox]
+                score = float(require_number("field 'score'", obj["score"]))
+                if not (0.0 <= score <= 1.0):
+                    raise ValueError(f"field 'score' must be in [0, 1], got {score}")
+                class_id = require_number("field 'class'", obj["class"], integral=True)
+                if class_id < 0:
+                    raise ValueError(f"field 'class' must be non-negative, got {class_id}")
+            except (TypeError, ValueError) as exc:
+                _fail(path, line_no, str(exc))
             previous_frame = frame
-
-            bbox = obj["bbox"]
-            if not isinstance(bbox, list) or len(bbox) != 4:
-                _fail(path, line_no, "field 'bbox' must be a 4-element [x1, y1, x2, y2] list")
-            coords = [_require_number(v, path, line_no, "bbox") for v in bbox]
-
-            score = _require_number(obj["score"], path, line_no, "score")
-            if not (0.0 <= score <= 1.0):
-                _fail(path, line_no, f"field 'score' must be in [0, 1], got {score}")
-
-            class_id = _require_int(obj["class"], path, line_no, "class")
-            if class_id < 0:
-                _fail(path, line_no, f"field 'class' must be non-negative, got {class_id}")
 
             try:
                 box = BoundingBox(*coords)

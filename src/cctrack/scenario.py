@@ -14,13 +14,13 @@ contract, so identical configs reproduce byte-identical scenario files.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from .evaluation import GroundTruthRecord, group_by_frame
-from .geometry import BoundingBox, Detection, require_number
+from .geometry import BoundingBox, Detection, config_from_fields, require_fields
 
 _TEXTURE_STREAM = 7919  # seed-sequence tag separating texture rng from motion rng
 
@@ -48,16 +48,7 @@ class ScenarioConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        # Each field is type-checked by its annotation: int, float, or a pair of either.
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type.startswith("tuple["):
-                if not isinstance(value, (tuple, list)) or len(value) != 2:
-                    raise TypeError(f"{f.name} must be a pair, got {value!r}")
-                for entry in value:
-                    _require_field(f"{f.name} entry", entry, f.type == "tuple[int, int]")
-            else:
-                _require_field(f.name, value, f.type == "int")
+        require_fields(self)
         if self.num_people < 0:
             raise ValueError(f"num_people must be >= 0, got {self.num_people}")
         if self.frame_count < 1:
@@ -84,6 +75,8 @@ class ScenarioConfig:
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        if self.rng_seed < 0:
+            raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.crowd_radius <= 0:
             raise ValueError(f"crowd_radius must be positive, got {self.crowd_radius}")
         clo, chi = self.clutter_size_range
@@ -93,13 +86,6 @@ class ScenarioConfig:
     @property
     def crowd_category(self) -> str:
         return crowd_category(self.num_people)
-
-
-def _require_field(name: str, value, integral: bool) -> None:
-    """An integer, or a finite real number; never a bool."""
-    require_number(name, value, integral=integral)
-    if not integral and not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def crowd_category(num_people: int) -> str:
@@ -157,25 +143,19 @@ def preset_config(name: str, **overrides) -> ScenarioConfig:
     """A ScenarioConfig from a named preset, with field overrides applied."""
     if name not in SCENARIO_PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(SCENARIO_PRESETS)}")
-    params = dict(SCENARIO_PRESETS[name])
-    params.update(overrides)
-    return ScenarioConfig(**params)
+    return config_from_fields(ScenarioConfig, {**SCENARIO_PRESETS[name], **overrides})
 
 
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a plain dict, starting from an optional "preset" key."""
     data = dict(data)
     preset = data.pop("preset", None)
-    known = {f.name for f in fields(ScenarioConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ValueError(f"unknown scenario config keys: {sorted(unknown)}")
     for key in ("image_size", "speed_range", "clutter_size_range"):
         if isinstance(data.get(key), list):
             data[key] = tuple(data[key])
     if preset is not None:
         return preset_config(preset, **data)
-    return ScenarioConfig(**data)
+    return config_from_fields(ScenarioConfig, data)
 
 
 @dataclass
@@ -190,6 +170,11 @@ class Scenario:
 def _reflect(value: float, lo: float, hi: float) -> float:
     if hi <= lo:
         return lo
+    span = hi - lo
+    if value < lo - span or value > hi + span:
+        # More than one span out: fold by the reflection period first, so
+        # the loop below bounces at most twice whatever the speed.
+        value = lo + (value - lo) % (2.0 * span)
     while value < lo or value > hi:
         if value < lo:
             value = 2.0 * lo - value

@@ -31,7 +31,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlation import correlate_track
-from .geometry import BoundingBox, Detection, Point, centroid, euclidean, require_number
+from .geometry import BoundingBox, Detection, Point, centroid, euclidean, require_fields
 
 
 @dataclass(frozen=True)
@@ -52,10 +52,7 @@ class TrackerConfig:
     search_margin: int = 20
 
     def __post_init__(self):
-        for name in ("max_disappearance", "detection_interval", "person_class_id", "search_margin"):
-            require_number(name, getattr(self, name), integral=True)
-        for name in ("max_distance", "confidence_threshold"):
-            require_number(name, getattr(self, name))
+        require_fields(self)
         if self.max_disappearance < 1:
             raise ValueError(f"max_disappearance must be positive, got {self.max_disappearance}")
         if not self.max_distance > 0:

@@ -447,3 +447,105 @@ class TestTrack:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert code == 2
+
+
+class TestBadNumbersAreDataErrors:
+    """Each bad number exits 2 with one line naming the file and key, or the flag."""
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        gt = tmp_path / "gt.csv"
+        gt.write_text("frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n")
+        return str(dets), str(gt)
+
+    @staticmethod
+    def one_line_error(capsys):
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize(
+        "payload, complaint",
+        [
+            ({"box_jitter": 10**400}, "box_jitter is out of the float range"),
+            ({"speed_range": [1, 10**400]}, "speed_range entry is out of the float range"),
+            ({"rng_seed": -1}, "rng_seed must be non-negative, got -1"),
+        ],
+        ids=["box_jitter", "speed_range", "rng_seed"],
+    )
+    def test_synth_config(self, tmp_path, capsys, payload, complaint):
+        config = write_config(tmp_path, "bad.json", {"frame_count": 3, **payload})
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{config}: {complaint}" in self.one_line_error(capsys)
+
+    def test_deeply_nested_config(self, tmp_path, capsys):
+        config = tmp_path / "deep.json"
+        config.write_text("[" * 100_000)
+        assert main(["synth", "--config", str(config), "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{config}: malformed JSON: nested too deeply" in self.one_line_error(capsys)
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path, "ok.json", {"frame_count": 3})
+        code = main(["synth", "--config", config, "--out-dir", str(tmp_path / "x"), "--seed", "-3"])
+        assert code == 2
+        assert "--seed: rng_seed must be non-negative, got -3" in self.one_line_error(capsys)
+
+    def test_frames_that_do_not_fit_in_memory(self, tmp_path, capsys, monkeypatch):
+        from cctrack import cli
+
+        def out_of_memory(scenario):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.scenario, "render_frames", out_of_memory)
+        config = write_config(tmp_path, "big.json", {
+            "image_size": [100000, 100000], "frame_count": 1, "num_people": 0,
+        })
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{config}: image_size 100000x100000" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "text, complaint",
+        [(json.dumps({"max_distance": 10**400}), "max_distance is out of the float range"),
+         ('{"max_distance": Infinity}', "max_distance must be finite, got inf")],
+        ids=["past-float-range", "infinity"],
+    )
+    def test_tracker_config(self, tmp_path, capsys, files, text, complaint):
+        config = tmp_path / "trk.json"
+        config.write_text(text)
+        code = main([
+            "track", "--detections", files[0], "--config", str(config),
+            "--out", str(tmp_path / "t.csv"),
+        ])
+        assert code == 2
+        assert f"{config}: {complaint}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "thresholds, complaint",
+        [
+            ("0.1:inf:0.1", "threshold range end must be finite, got inf"),
+            ("0.1:0.9:1e-300", "threshold step must be at least 1e-9"),
+        ],
+    )
+    def test_sweep_thresholds_flag(self, capsys, files, thresholds, complaint):
+        start = time.perf_counter()
+        code = main([
+            "sweep", "--detections", files[0], "--groundtruth", files[1],
+            "--thresholds", thresholds,
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert f"--thresholds: {complaint}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "iou, complaint",
+        [("nan", "--iou must be finite, got nan"), ("2", "--iou must be in [0, 1], got 2.0")],
+    )
+    def test_eval_iou_flag(self, capsys, files, iou, complaint):
+        code = main([
+            "eval", "--detections", files[0], "--groundtruth", files[1],
+            "--threshold", "0.5", "--iou", iou,
+        ])
+        assert code == 2
+        assert complaint in self.one_line_error(capsys)

@@ -1,8 +1,12 @@
+import json
 import math
 
 import pytest
 
 from cctrack.geometry import BoundingBox, Detection, Point, centroid, euclidean, iou
+from cctrack.io import FormatError, read_detections
+from cctrack.scenario import ScenarioConfig
+from cctrack.tracker import TrackerConfig
 
 from oracles import iou_reference
 
@@ -32,6 +36,59 @@ class TestTypes:
             Detection(0, b, 1.5)
         with pytest.raises(ValueError):
             Detection(0, b, 0.5, class_id=-2)
+
+
+def _detection_line(tmp_path, key, value):
+    record = {"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0, key: value}
+    path = tmp_path / "d.jsonl"
+    path.write_text(json.dumps(record) + "\n")
+    read_detections(path)
+
+
+# Each input surface with one float and one integer field, as (name, build).
+_SURFACES = {
+    "tracker config": (
+        ("max_distance", lambda tmp_path, v: TrackerConfig(max_distance=v)),
+        ("max_disappearance", lambda tmp_path, v: TrackerConfig(max_disappearance=v)),
+    ),
+    "scenario config": (
+        ("box_jitter", lambda tmp_path, v: ScenarioConfig(box_jitter=v)),
+        ("num_people", lambda tmp_path, v: ScenarioConfig(num_people=v)),
+    ),
+    "detection line": (
+        ("field 'score'", lambda tmp_path, v: _detection_line(tmp_path, "score", v)),
+        ("field 'frame'", lambda tmp_path, v: _detection_line(tmp_path, "frame", v)),
+    ),
+}
+
+
+class TestOneNumberRule:
+    """Configs and detection files word the same bad number the same way."""
+
+    @pytest.mark.parametrize("surface", sorted(_SURFACES))
+    @pytest.mark.parametrize(
+        "integral, value, complaint",
+        [
+            (False, True, "must be a number, got True"),
+            (False, "1", "must be a number, got '1'"),
+            (False, None, "must be a number, got None"),
+            (False, math.nan, "must be finite, got nan"),
+            (False, math.inf, "must be finite, got inf"),
+            (False, 10**400, "is out of the float range"),
+            (True, 2.5, "must be an integer, got 2.5"),
+        ],
+        ids=["bool", "string", "null", "nan", "inf", "past-float-range", "fraction-for-int"],
+    )
+    def test_same_message_on_every_surface(self, tmp_path, surface, integral, value, complaint):
+        name, build = _SURFACES[surface][integral]
+        with pytest.raises((TypeError, ValueError)) as info:
+            build(tmp_path, value)
+        message = str(info.value)
+        if surface == "detection line":
+            assert info.type is FormatError
+            assert message == f"{tmp_path / 'd.jsonl'}:1: {name} {complaint}"
+        else:
+            assert message == f"{name} {complaint}"
 
 
 class TestCentroid:

@@ -1,4 +1,5 @@
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from cctrack.evaluation import threshold_sweep
 from cctrack.geometry import BoundingBox
 from cctrack.scenario import (
     SCENARIO_PRESETS,
+    _reflect,
     ScenarioConfig,
     config_from_dict,
     crowd_category,
@@ -114,6 +116,26 @@ class TestGenerate:
             b = record.bbox
             assert 0 <= b.x1 <= b.x2 <= w
             assert 0 <= b.y1 <= b.y2 <= h
+
+    def test_huge_speed_reflects_in_bounded_time_inside_the_image(self):
+        cfg = config_from_dict({"preset": "small", "speed_range": [1, 1e308], "frame_count": 3})
+        start = time.perf_counter()
+        scn = generate(cfg)
+        assert time.perf_counter() - start < 1.0
+        w, h = cfg.image_size
+        for record in scn.ground_truth:
+            b = record.bbox
+            assert 0 <= b.x1 <= b.x2 <= w
+            assert 0 <= b.y1 <= b.y2 <= h
+
+    def test_folding_a_far_position_lands_where_bouncing_does(self):
+        def bounce(value, lo, hi):
+            while value < lo or value > hi:
+                value = 2.0 * lo - value if value < lo else 2.0 * hi - value
+            return value
+
+        for value in np.random.default_rng(0).uniform(-6000.0, 6000.0, 500):
+            assert _reflect(value, 20.0, 620.0) == pytest.approx(bounce(value, 20.0, 620.0), abs=1e-9)
 
     def test_every_person_present_every_frame(self):
         cfg = preset_config("small", frame_count=25, rng_seed=8)
