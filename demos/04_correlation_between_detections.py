@@ -34,7 +34,7 @@ config = preset_config("noiseless", num_people=1, frame_count=24,
                        image_size=(160, 120), person_box_size=24,
                        speed_range=(2.0, 3.0), rng_seed=6)
 scn = generate(config)
-frames = render_frames(scn)
+frames = list(render_frames(scn))
 
 by_frame = group_by_frame(scn.detections)
 

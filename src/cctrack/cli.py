@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -97,6 +98,16 @@ def _frame_update_json(update: FrameUpdate) -> str:
     )
 
 
+@contextlib.contextmanager
+def _frames_fit(source: str, cfg: scenario.ScenarioConfig):
+    """Turn a MemoryError raised in the block into a FormatError naming image_size."""
+    try:
+        yield
+    except MemoryError:
+        w, h = cfg.image_size
+        raise io.FormatError(f"{source}: image_size {w}x{h} frames do not fit in memory") from None
+
+
 def _cmd_synth(args) -> int:
     with _errors_name(args.config):
         config_data = _load_json_config(args.config)
@@ -107,10 +118,16 @@ def _cmd_synth(args) -> int:
     if args.seed is not None:
         with _errors_name("--seed"):
             cfg = dataclasses.replace(cfg, rng_seed=args.seed)
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     scn = scenario.generate(cfg)
+    if render:
+        # The first frame is drawn before any file is written, so frames
+        # too large for memory leave --out-dir as it was.
+        with _frames_fit(args.config, cfg):
+            frames = scenario.render_frames(scn)
+            frames = itertools.chain([next(frames)], frames)
+    out_dir = Path(args.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     io.write_detections(out_dir / "detections.jsonl", scn.detections)
     io.write_ground_truth(out_dir / "groundtruth.csv", scn.ground_truth)
     message = (
@@ -119,37 +136,35 @@ def _cmd_synth(args) -> int:
         f"{len(scn.detections)} detections"
     )
     if render:
-        try:
-            frames = scenario.render_frames(scn)
-        except MemoryError:
-            w, h = cfg.image_size
-            raise io.FormatError(f"{args.config}: image_size {w}x{h} frames do not fit in memory")
-        io.write_frames(out_dir / "frames", frames)
-        message += f", {len(frames)} frames"
+        with _frames_fit(args.config, cfg):
+            written = io.write_frames(out_dir / "frames", frames)
+        message += f", {len(written)} frames"
     print(message)
     return 0
 
 
 def _cmd_track(args) -> int:
     detections = io.read_detections(args.detections)
-    frames = io.read_frames(args.frames) if args.frames else []
+    frames = io.read_frames(args.frames) if args.frames else iter(())
     with _errors_name(args.config):
         config = config_from_fields(TrackerConfig, _load_json_config(args.config))
 
     by_frame = group_by_frame(detections)
-    last_frame = max(
-        max(by_frame.keys(), default=-1),
-        len(frames) - 1,
-    )
-    if last_frame < 0:
+    last_detection = max(by_frame.keys(), default=-1)
+    if last_detection < 0 and not args.frames:
         raise io.FormatError(f"{args.detections}: no frames to track (empty input)")
 
     tracker = CentroidCorrelationTracker(config)
     trace_handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
     rows = []
     try:
-        for frame_index in range(last_frame + 1):
-            pixels = frames[frame_index] if frame_index < len(frames) else None
+        # Frames are read as the loop reaches them. It runs until both the
+        # frames and the detections are used up, and frame_index ends at
+        # the number of frames tracked.
+        for frame_index in itertools.count():
+            pixels = next(frames, None)
+            if pixels is None and frame_index > last_detection:
+                break
             scheduled = by_frame.get(frame_index, ()) if tracker.detects_next else ()
             update = tracker.update(frame_index, scheduled, pixels)
             if trace_handle:
@@ -166,7 +181,7 @@ def _cmd_track(args) -> int:
         for tid, frame, cx, cy in rows:
             handle.write(f"{tid},{frame},{_fmt(cx)},{_fmt(cy)}\n")
     print(
-        f"track: {last_frame + 1} frames, {tracker.next_id} identities registered, "
+        f"track: {frame_index} frames, {tracker.next_id} identities registered, "
         f"{len(tracker.live_tracks())} live at end -> {args.out}"
     )
     return 0

@@ -11,17 +11,25 @@ import numbers
 from dataclasses import dataclass, fields
 
 
+# Integers float() converts lie strictly between these: 2**1024 - 2**970
+# is the least that rounds up to 2**1024, past the largest float.
+_FLOAT_INT_LOW, _FLOAT_INT_HIGH = -(2**1024 - 2**970), 2**1024 - 2**970
+
+
 def require_number(name: str, value, integral: bool = False):
     """Return value if it is an integer (integral) or a finite real number.
 
     A bool or a value of the wrong kind raises TypeError; numpy scalars pass.
-    A real past the float range, or not finite, raises ValueError. Builtin
-    int and float are tested first: the numbers ABCs cost more per record.
+    A number past the float range, integer or not, or a real that is not
+    finite, raises ValueError. Builtin int and float are tested first: the
+    numbers ABCs cost more per record.
     """
     kind = type(value)
     if integral:
         if kind is int or (kind is not bool and isinstance(value, numbers.Integral)):
-            return value
+            if _FLOAT_INT_LOW < value < _FLOAT_INT_HIGH:
+                return value
+            raise ValueError(f"{name} is out of the float range")
         raise TypeError(f"{name} must be an integer, got {value!r}")
     if not (kind is float or kind is int or (kind is not bool and isinstance(value, numbers.Real))):
         raise TypeError(f"{name} must be a number, got {value!r}")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -261,19 +261,21 @@ def person_textures(config: ScenarioConfig) -> list[np.ndarray]:
     return tiles
 
 
-def render_frames(scenario: Scenario, config: Optional[ScenarioConfig] = None) -> list[np.ndarray]:
+def render_frames(
+    scenario: Scenario, config: Optional[ScenarioConfig] = None
+) -> Iterator[np.ndarray]:
     """Rasterize the ground truth: textured squares on a flat background.
 
     Each person's texture tile is stamped at the rounded corner of its
     box, so between frames the pattern translates by integer offsets.
-    Returns one uint8 (height, width) array per frame.
+    Yields one uint8 (height, width) array per frame, each built when the
+    iterator reaches it, so the frames need not fit in memory together.
     """
     config = config or scenario.config
     w, h = config.image_size
     tiles = person_textures(config)
 
     by_frame = group_by_frame(scenario.ground_truth)
-    frames = []
     for frame in range(config.frame_count):
         image = np.full((h, w), 30, dtype=np.uint8)
         for record in by_frame.get(frame, ()):
@@ -287,5 +289,4 @@ def render_frames(scenario: Scenario, config: Optional[ScenarioConfig] = None) -
             image[y_start:y_stop, x_start:x_stop] = tile[
                 y_start - iy : y_stop - iy, x_start - ix : x_stop - ix
             ]
-        frames.append(image)
-    return frames
+        yield image

@@ -1,12 +1,14 @@
 import csv
+import itertools
 import json
 import time
 
+import numpy as np
 import pytest
 
 from cctrack.cli import main, parse_threshold_range
 from cctrack.tracker import CentroidCorrelationTracker
-from cctrack.io import read_detections, read_ground_truth
+from cctrack.io import read_detections, read_ground_truth, write_frames, write_pgm
 
 
 def write_config(tmp_path, name, payload):
@@ -438,6 +440,41 @@ class TestTrack:
         assert code == 2
         assert "empty: no *.pgm frames" in capsys.readouterr().err
 
+    def test_frame_of_another_shape_mid_stream_is_data_error(self, tmp_path, capsys):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        paths = write_frames(tmp_path / "frames", [np.zeros((12, 16), dtype=np.uint8)] * 3)
+        write_pgm(paths[2], np.zeros((5, 6), dtype=np.uint8))
+        config = write_config(tmp_path, "trk.json", {})
+        out = tmp_path / "t.csv"
+        code = main([
+            "track", "--detections", str(dets), "--frames", str(tmp_path / "frames"),
+            "--config", config, "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "frame_000002.pgm: frame is 6x5, but frame_000000.pgm is 16x12" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("frames", ["missing", "no-pgm"])
+    def test_bad_frames_directory_fails_before_the_trace_is_opened(
+        self, tmp_path, capsys, frames
+    ):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        if frames == "no-pgm":
+            (tmp_path / frames).mkdir()
+        config = write_config(tmp_path, "trk.json", {})
+        trace = tmp_path / "trace.jsonl"
+        code = main([
+            "track", "--detections", str(dets), "--frames", str(tmp_path / frames),
+            "--config", config, "--out", str(tmp_path / "t.csv"), "--trace", str(trace),
+        ])
+        assert code == 2
+        complaint = "not a directory" if frames == "missing" else "no *.pgm frames"
+        assert f"{frames}: {complaint}" in capsys.readouterr().err
+        assert not trace.exists()
+
     def test_empty_detections_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"
         empty.write_text("")
@@ -472,8 +509,12 @@ class TestBadNumbersAreDataErrors:
             ({"box_jitter": 10**400}, "box_jitter is out of the float range"),
             ({"speed_range": [1, 10**400]}, "speed_range entry is out of the float range"),
             ({"rng_seed": -1}, "rng_seed must be non-negative, got -1"),
+            (
+                {"image_size": [10**400, 100], "render_frames": False},
+                "image_size entry is out of the float range",
+            ),
         ],
-        ids=["box_jitter", "speed_range", "rng_seed"],
+        ids=["box_jitter", "speed_range", "rng_seed", "image_size"],
     )
     def test_synth_config(self, tmp_path, capsys, payload, complaint):
         config = write_config(tmp_path, "bad.json", {"frame_count": 3, **payload})
@@ -504,6 +545,29 @@ class TestBadNumbersAreDataErrors:
         })
         assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
         assert f"{config}: image_size 100000x100000" in self.one_line_error(capsys)
+        assert not (tmp_path / "x" / "detections.jsonl").exists()
+        assert not (tmp_path / "x" / "groundtruth.csv").exists()
+
+    @pytest.mark.parametrize("frames_that_fit", [0, 1], ids=["first-frame", "later-frame"])
+    def test_frame_that_does_not_fit_in_memory_mid_stream(
+        self, tmp_path, capsys, monkeypatch, frames_that_fit
+    ):
+        # The call to render_frames succeeds; a frame it yields fails.
+        from cctrack import cli
+
+        render = cli.scenario.render_frames
+
+        def out_of_memory_after(scenario):
+            yield from itertools.islice(render(scenario), frames_that_fit)
+            raise MemoryError()
+
+        monkeypatch.setattr(cli.scenario, "render_frames", out_of_memory_after)
+        config = write_config(tmp_path, "big.json", {"frame_count": 3, "num_people": 0})
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{config}: image_size 640x480 frames do not fit" in self.one_line_error(capsys)
+        if frames_that_fit == 0:
+            assert not (tmp_path / "x" / "detections.jsonl").exists()
+            assert not (tmp_path / "x" / "groundtruth.csv").exists()
 
     @pytest.mark.parametrize(
         "text, complaint",

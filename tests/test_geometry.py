@@ -1,9 +1,18 @@
 import json
 import math
+import sys
 
 import pytest
 
-from cctrack.geometry import BoundingBox, Detection, Point, centroid, euclidean, iou
+from cctrack.geometry import (
+    BoundingBox,
+    Detection,
+    Point,
+    centroid,
+    euclidean,
+    iou,
+    require_number,
+)
 from cctrack.io import FormatError, read_detections
 from cctrack.scenario import ScenarioConfig
 from cctrack.tracker import TrackerConfig
@@ -76,8 +85,12 @@ class TestOneNumberRule:
             (False, math.inf, "must be finite, got inf"),
             (False, 10**400, "is out of the float range"),
             (True, 2.5, "must be an integer, got 2.5"),
+            (True, 10**400, "is out of the float range"),
         ],
-        ids=["bool", "string", "null", "nan", "inf", "past-float-range", "fraction-for-int"],
+        ids=[
+            "bool", "string", "null", "nan", "inf", "past-float-range", "fraction-for-int",
+            "int-past-float-range",
+        ],
     )
     def test_same_message_on_every_surface(self, tmp_path, surface, integral, value, complaint):
         name, build = _SURFACES[surface][integral]
@@ -89,6 +102,18 @@ class TestOneNumberRule:
             assert message == f"{tmp_path / 'd.jsonl'}:1: {name} {complaint}"
         else:
             assert message == f"{name} {complaint}"
+
+    def test_integers_pass_exactly_when_float_converts_them(self):
+        largest = 2**1024 - 2**970 - 1
+        for value in (largest, -largest):
+            assert float(require_number("n", value, integral=True)) == math.copysign(
+                sys.float_info.max, value
+            )
+        for value in (largest + 1, -largest - 1):
+            with pytest.raises(OverflowError):
+                float(value)
+            with pytest.raises(ValueError, match="^n is out of the float range$"):
+                require_number("n", value, integral=True)
 
 
 class TestCentroid:

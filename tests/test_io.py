@@ -206,6 +206,16 @@ class TestPgm:
         write_pgm(path, np.zeros((2, 3), dtype=np.uint8))
         assert path.read_bytes().startswith(b"P5\n3 2\n255\n")
 
+    @pytest.mark.parametrize("comment", [4080, 4083, 4084, 4085, 4096, 5000])
+    def test_header_past_the_first_read(self, tmp_path, comment):
+        # read_pgm parses the header from the first 4096 bytes when it can;
+        # a header running past them, whole or mid-token, parses the same.
+        path = tmp_path / "f.pgm"
+        path.write_bytes(b"P5\n#" + b"c" * comment + b"\n3 2\n255\n" + bytes(range(6)))
+        assert np.array_equal(read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+        path.write_text("P2\n#" + "c" * comment + "\n3 2\n255\n0 1 2\n3 4 5\n")
+        assert np.array_equal(read_pgm(path), np.arange(6, dtype=np.uint8).reshape(2, 3))
+
     def test_ascii_p2_supported(self, tmp_path):
         path = tmp_path / "f.pgm"
         path.write_text("P2\n# comment\n3 2\n255\n0 1 2\n3 4 5\n")
@@ -214,7 +224,7 @@ class TestPgm:
     def test_frames_dir_round_trip(self, tmp_path, rng):
         frames = [rng.integers(0, 256, size=(8, 9)).astype(np.uint8) for _ in range(4)]
         write_frames(tmp_path / "frames", frames)
-        loaded = read_frames(tmp_path / "frames")
+        loaded = list(read_frames(tmp_path / "frames"))
         assert len(loaded) == 4
         assert all(np.array_equal(a, b) for a, b in zip(frames, loaded))
 
@@ -223,13 +233,13 @@ class TestPgm:
         paths = write_frames(tmp_path / "frames", frames)
         write_pgm(paths[2], np.zeros((5, 6), dtype=np.uint8))
         with pytest.raises(FormatError, match=r"frame_000002\.pgm: frame is 6x5, but .* is 16x12"):
-            read_frames(tmp_path / "frames")
+            list(read_frames(tmp_path / "frames"))
 
     def test_frames_dir_without_pgm_rejected(self, tmp_path):
         (tmp_path / "frames").mkdir()
         (tmp_path / "frames" / "notes.txt").write_text("no frames here")
         with pytest.raises(FormatError, match=r"frames: no \*\.pgm frames"):
-            read_frames(tmp_path / "frames")
+            list(read_frames(tmp_path / "frames"))
 
     def test_non_pgm_rejected(self, tmp_path):
         path = tmp_path / "f.pgm"

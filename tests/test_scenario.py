@@ -185,7 +185,7 @@ class TestRenderFrames:
     def test_empty_crowd_renders_flat_background(self):
         cfg = ScenarioConfig(num_people=0, frame_count=3, image_size=(64, 48),
                              false_positive_rate=0.0, rng_seed=2)
-        frames = render_frames(generate(cfg))
+        frames = list(render_frames(generate(cfg)))
         assert len(frames) == 3
         for frame in frames:
             assert frame.shape == (48, 64)
@@ -198,7 +198,7 @@ class TestRenderFrames:
                              miss_rate_base=0.0, false_positive_rate=0.0,
                              box_jitter=0.0, rng_seed=13)
         scn = generate(cfg)
-        frames = render_frames(scn)
+        frames = list(render_frames(scn))
         assert all(np.array_equal(frames[0], f) for f in frames[1:])
         bbox = scn.ground_truth[0].bbox
         result = correlate_track(frames[0], frames[1], bbox, search_margin=8)
@@ -210,7 +210,7 @@ class TestRenderFrames:
                              miss_rate_base=0.0, false_positive_rate=0.0,
                              box_jitter=0.0, rng_seed=29)
         scn = generate(cfg)
-        frames = render_frames(scn)
+        frames = list(render_frames(scn))
         records = sorted(scn.ground_truth, key=lambda r: r.frame_index)
         size = cfg.person_box_size
         for prev_rec, cur_rec in zip(records, records[1:]):
@@ -231,6 +231,6 @@ class TestRenderFrames:
         cfg = ScenarioConfig(num_people=2, frame_count=5, image_size=(80, 60),
                              person_box_size=16, rng_seed=3)
         scn = generate(cfg)
-        a = render_frames(scn)
-        b = render_frames(generate(cfg))
+        a = list(render_frames(scn))
+        b = list(render_frames(generate(cfg)))
         assert all(np.array_equal(x, y) for x, y in zip(a, b))
