@@ -121,12 +121,15 @@ def _cmd_synth(args) -> int:
 
     scn = scenario.generate(cfg)
     if render:
-        # The first frame is drawn before any file is written, so frames
-        # too large for memory leave --out-dir as it was.
+        # The first frame is drawn before any file is written or deleted,
+        # so frames too large for memory leave --out-dir as it was.
         with _frames_fit(args.config, cfg):
             frames = scenario.render_frames(scn)
             frames = itertools.chain([next(frames)], frames)
     out_dir = Path(args.out_dir)
+    # Frames of an earlier run would be read back as this run's.
+    for stale in (out_dir / "frames").glob("*.pgm"):
+        stale.unlink()
     out_dir.mkdir(parents=True, exist_ok=True)
     io.write_detections(out_dir / "detections.jsonl", scn.detections)
     io.write_ground_truth(out_dir / "groundtruth.csv", scn.ground_truth)
@@ -310,9 +313,6 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except io.FormatError as exc:
-        print(f"cctrack: error: {exc}", file=sys.stderr)
-        return DATA_ERROR
     except FileNotFoundError as exc:
         print(f"cctrack: error: {exc.filename or exc}: no such file", file=sys.stderr)
         return DATA_ERROR

@@ -195,15 +195,15 @@ def write_pgm(path: PathLike, frame: np.ndarray) -> None:
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2D, got shape {frame.shape}")
-    if np.issubdtype(frame.dtype, np.integer):
-        # rint would turn 8-bit input into float16, which numpy emulates slowly.
-        data = np.clip(frame, 0, 255).astype(np.uint8)
-    else:
-        data = np.clip(np.rint(frame), 0, 255).astype(np.uint8)
-    height, width = data.shape
+    if frame.dtype != np.uint8:  # an 8-bit frame is written from its own buffer
+        # Integers skip rint, which would turn 8-bit input into slow float16.
+        if not np.issubdtype(frame.dtype, np.integer):
+            frame = np.rint(frame)
+        frame = np.clip(frame, 0, 255).astype(np.uint8)
+    height, width = frame.shape
     with open(path, "wb") as handle:
         handle.write(f"P5\n{width} {height}\n255\n".encode("ascii"))
-        handle.write(data.tobytes())
+        handle.write(np.ascontiguousarray(frame))
 
 
 # Bytes of a PGM read before its header is parsed. A longer header, such

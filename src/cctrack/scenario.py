@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
@@ -61,10 +61,8 @@ class ScenarioConfig:
         lo, hi = self.speed_range
         if lo < 0 or hi < lo:
             raise ValueError(f"speed_range must satisfy 0 <= lo <= hi, got {self.speed_range}")
-        for name in ("miss_rate_base",):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
+        if not (0.0 <= self.miss_rate_base <= 1.0):
+            raise ValueError(f"miss_rate_base must be in [0, 1], got {self.miss_rate_base}")
         for name in (
             "false_positive_rate",
             "box_jitter",
@@ -183,6 +181,20 @@ def _reflect(value: float, lo: float, hi: float) -> float:
     return value
 
 
+def _neighbor_counts(xs: list[float], ys: list[float], radius: float) -> list[int]:
+    """For each person, how many others stand closer than radius.
+
+    Each pair is tested once for both ends: hypot(-dx, -dy) == hypot(dx, dy) exactly.
+    """
+    counts = [0] * len(xs)
+    for i, (xi, yi) in enumerate(zip(xs, ys)):
+        for j in range(i + 1, len(xs)):
+            if math.hypot(xi - xs[j], yi - ys[j]) < radius:
+                counts[i] += 1
+                counts[j] += 1
+    return counts
+
+
 def generate(config: ScenarioConfig) -> Scenario:
     """Simulate the crowd and the detector over config.frame_count frames.
 
@@ -204,14 +216,7 @@ def generate(config: ScenarioConfig) -> Scenario:
     detections: list[Detection] = []
 
     for frame in range(config.frame_count):
-        neighbor_counts = []
-        for i in range(config.num_people):
-            count = 0
-            for j in range(config.num_people):
-                if i != j and math.hypot(xs[i] - xs[j], ys[i] - ys[j]) < config.crowd_radius:
-                    count += 1
-            neighbor_counts.append(count)
-
+        neighbor_counts = _neighbor_counts(xs, ys, config.crowd_radius)
         for pid in range(config.num_people):
             box = BoundingBox(xs[pid] - half, ys[pid] - half, xs[pid] + half, ys[pid] + half)
             ground_truth.append(GroundTruthRecord(frame, box, pid))
@@ -225,20 +230,15 @@ def generate(config: ScenarioConfig) -> Scenario:
             x2 = max(box.x2 + j3, x1)
             y2 = max(box.y2 + j4, y1)
             mean = config.confidence_mean - config.crowd_confidence_drop * neighbor_counts[pid]
-            conf = float(np.clip(rng.normal(mean, config.confidence_std), 0.0, 1.0))
+            conf = min(max(rng.normal(mean, config.confidence_std), 0.0), 1.0)
             detections.append(Detection(frame, BoundingBox(x1, y1, x2, y2), conf, class_id=0))
 
         for _ in range(rng.poisson(config.false_positive_rate)):
             cx = rng.uniform(0, w)
             cy = rng.uniform(0, h)
             size = config.person_box_size * rng.uniform(*config.clutter_size_range)
-            conf = float(
-                np.clip(
-                    rng.normal(config.clutter_confidence_mean, config.clutter_confidence_std),
-                    0.0,
-                    1.0,
-                )
-            )
+            conf = rng.normal(config.clutter_confidence_mean, config.clutter_confidence_std)
+            conf = min(max(conf, 0.0), 1.0)
             clutter = BoundingBox(cx - size / 2, cy - size / 2, cx + size / 2, cy + size / 2)
             detections.append(Detection(frame, clutter, conf, class_id=0))
 
@@ -261,9 +261,7 @@ def person_textures(config: ScenarioConfig) -> list[np.ndarray]:
     return tiles
 
 
-def render_frames(
-    scenario: Scenario, config: Optional[ScenarioConfig] = None
-) -> Iterator[np.ndarray]:
+def render_frames(scenario: Scenario) -> Iterator[np.ndarray]:
     """Rasterize the ground truth: textured squares on a flat background.
 
     Each person's texture tile is stamped at the rounded corner of its
@@ -271,7 +269,7 @@ def render_frames(
     Yields one uint8 (height, width) array per frame, each built when the
     iterator reaches it, so the frames need not fit in memory together.
     """
-    config = config or scenario.config
+    config = scenario.config
     w, h = config.image_size
     tiles = person_textures(config)
 

@@ -88,6 +88,18 @@ def associate_reference(existing, incoming, max_distance):
     return AssociationResult(tuple(matches), unmatched_tracks, unmatched_incoming)
 
 
+def neighbor_counts_reference(xs, ys, radius):
+    """For each person, how many others stand closer than radius, every ordered pair tested."""
+    counts = []
+    for i in range(len(xs)):
+        count = 0
+        for j in range(len(xs)):
+            if i != j and math.hypot(xs[i] - xs[j], ys[i] - ys[j]) < radius:
+                count += 1
+        counts.append(count)
+    return counts
+
+
 def _interval_overlap(a_lo, a_hi, b_lo, b_hi):
     return max(0.0, min(a_hi, b_hi) - max(a_lo, b_lo))
 

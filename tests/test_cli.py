@@ -179,6 +179,25 @@ class TestSynth:
         })
         assert not (out_dir / "frames").exists()
 
+    @pytest.mark.parametrize("render", [True, False], ids=["fewer-frames", "no-frames"])
+    def test_a_second_run_leaves_only_its_own_frames(self, tmp_path, capsys, render):
+        payload = {"preset": "small", "num_people": 1, "image_size": [64, 48],
+                   "person_box_size": 12}
+        out_dir = synth(tmp_path, capsys, {**payload, "frame_count": 5})
+        (out_dir / "frames" / "notes.txt").write_text("kept")
+        synth(tmp_path, capsys, {**payload, "frame_count": 3, "render_frames": render})
+        names = sorted(p.name for p in (out_dir / "frames").iterdir())
+        expected = [f"frame_00000{i}.pgm" for i in range(3)] if render else []
+        assert names == expected + ["notes.txt"]
+        if render:
+            config = write_config(tmp_path, "trk.json", {})
+            assert main([
+                "track", "--detections", str(out_dir / "detections.jsonl"),
+                "--frames", str(out_dir / "frames"), "--config", config,
+                "--out", str(tmp_path / "t.csv"),
+            ]) == 0
+            assert capsys.readouterr().out.startswith("track: 3 frames,")
+
     def test_round_trip_reingests_without_change(self, tmp_path, capsys):
         out_dir = synth(tmp_path, capsys, {
             "preset": "medium", "frame_count": 20, "rng_seed": 5, "render_frames": False,
@@ -543,10 +562,12 @@ class TestBadNumbersAreDataErrors:
         config = write_config(tmp_path, "big.json", {
             "image_size": [100000, 100000], "frame_count": 1, "num_people": 0,
         })
+        earlier = write_frames(tmp_path / "x" / "frames", [np.zeros((4, 4), dtype=np.uint8)] * 2)
         assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
         assert f"{config}: image_size 100000x100000" in self.one_line_error(capsys)
         assert not (tmp_path / "x" / "detections.jsonl").exists()
         assert not (tmp_path / "x" / "groundtruth.csv").exists()
+        assert all(path.is_file() for path in earlier)
 
     @pytest.mark.parametrize("frames_that_fit", [0, 1], ids=["first-frame", "later-frame"])
     def test_frame_that_does_not_fit_in_memory_mid_stream(

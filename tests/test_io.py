@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,36 @@ class TestPgm:
         write_pgm(path, frame)
         raster = path.read_bytes()[len(b"P5\n8 1\n255\n"):]
         assert raster == _old_pgm_raster(frame) == bytes([0, 0, 2, 2, 254, 255, 0, 255])
+
+    def test_8bit_frame_is_written_from_its_own_buffer(self, tmp_path, rng):
+        frame = rng.integers(0, 256, size=(960, 1280), dtype=np.uint8)
+        path = tmp_path / "f.pgm"
+        write_pgm(path, frame)  # the first call's imports and caches are not counted
+        tracemalloc.start()
+        try:
+            write_pgm(path, frame)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < frame.nbytes // 2
+        assert path.read_bytes() == b"P5\n1280 960\n255\n" + _old_pgm_raster(frame)
+
+    @pytest.mark.parametrize("view", ["strided", "transposed", "fortran-order", "read-only"])
+    def test_8bit_views_write_their_own_bytes(self, tmp_path, rng, view):
+        base = rng.integers(0, 256, size=(12, 20), dtype=np.uint8)
+        if view == "strided":
+            frame = base[1::2, ::3]
+        elif view == "transposed":
+            frame = base.T
+        elif view == "fortran-order":
+            frame = np.asfortranarray(base)
+        else:
+            frame = base.copy()
+            frame.flags.writeable = False
+        path = tmp_path / "f.pgm"
+        write_pgm(path, frame)
+        height, width = frame.shape
+        assert path.read_bytes() == f"P5\n{width} {height}\n255\n".encode() + _old_pgm_raster(frame)
 
     def test_round_trip(self, tmp_path, rng):
         frame = rng.integers(0, 256, size=(13, 17)).astype(np.uint8)

@@ -4,12 +4,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cctrack.correlation import correlate_track
 from cctrack.evaluation import threshold_sweep
 from cctrack.geometry import BoundingBox
 from cctrack.scenario import (
     SCENARIO_PRESETS,
+    _neighbor_counts,
     _reflect,
     ScenarioConfig,
     config_from_dict,
@@ -18,6 +21,8 @@ from cctrack.scenario import (
     preset_config,
     render_frames,
 )
+
+from oracles import neighbor_counts_reference
 
 
 class TestConfig:
@@ -179,6 +184,39 @@ class TestGenerate:
         sparse = generate(ScenarioConfig(**base, crowd_radius=1e-6, crowd_miss_gain=0.05))
         crowded = generate(ScenarioConfig(**base, crowd_radius=500.0, crowd_miss_gain=0.05))
         assert len(crowded.detections) < len(sparse.detections)
+
+
+@st.composite
+def crowds(draw):
+    """Positions and a radius that one pair's distance equals, or misses by one ulp.
+
+    Some positions repeat, so coincident people are drawn too.
+    """
+    coord = st.floats(-1e4, 1e4, allow_nan=False, allow_infinity=False)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=2, max_size=12))
+    points += draw(st.lists(st.sampled_from(points), max_size=3))
+    (x1, y1), (x2, y2) = draw(st.permutations(points))[:2]
+    radius = math.hypot(x1 - x2, y1 - y2)
+    radius = draw(st.sampled_from(
+        [radius, math.nextafter(radius, 0.0), math.nextafter(radius, math.inf)]
+    ))
+    xs, ys = (list(axis) for axis in zip(*points))
+    return xs, ys, radius
+
+
+class TestNeighborCounts:
+    @settings(max_examples=500, deadline=None)
+    @given(crowds())
+    def test_equals_the_ordered_pair_reference(self, crowd):
+        xs, ys, radius = crowd
+        assert _neighbor_counts(xs, ys, radius) == neighbor_counts_reference(xs, ys, radius)
+
+    def test_pairs_on_the_radius_and_one_ulp_either_side(self):
+        # 3-4-5 offsets: each pair's hypot is exactly 5.0.
+        xs, ys = [0.0, 3.0, -3.0, 0.0], [0.0, 4.0, -4.0, 0.0]
+        assert _neighbor_counts(xs, ys, 5.0) == [1, 0, 0, 1]
+        assert _neighbor_counts(xs, ys, math.nextafter(5.0, 0.0)) == [1, 0, 0, 1]
+        assert _neighbor_counts(xs, ys, math.nextafter(5.0, math.inf)) == [3, 2, 2, 3]
 
 
 class TestRenderFrames:
