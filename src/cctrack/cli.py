@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
+import bisect
 import contextlib
 import dataclasses
 import itertools
@@ -16,8 +17,8 @@ import sys
 from pathlib import Path
 
 from . import io, scenario, selfcheck
-from .evaluation import evaluate_at, group_by_frame, require_fraction, threshold_sweep
-from .geometry import config_from_fields, require_number
+from .evaluation import evaluate_at, group_by_frame, threshold_sweep
+from .geometry import config_from_fields, require_fraction, require_number
 from .priorbox import default_layer_specs, prior_box_count
 from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
@@ -153,27 +154,40 @@ def _cmd_track(args) -> int:
         config = config_from_fields(TrackerConfig, _load_json_config(args.config))
 
     by_frame = group_by_frame(detections)
-    last_detection = max(by_frame.keys(), default=-1)
+    detection_frames = sorted(by_frame)
+    last_detection = detection_frames[-1] if detection_frames else -1
     if last_detection < 0 and not args.frames:
         raise io.FormatError(f"{args.detections}: no frames to track (empty input)")
 
     tracker = CentroidCorrelationTracker(config)
+    interval = config.detection_interval
     trace_handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
     rows = []
+    live = 0
+    frame_index = 0
     try:
         # Frames are read as the loop reaches them. It runs until both the
         # frames and the detections are used up, and frame_index ends at
         # the number of frames tracked.
-        for frame_index in itertools.count():
+        while True:
             pixels = next(frames, None)
-            if pixels is None and frame_index > last_detection:
-                break
+            if pixels is None:
+                if frame_index > last_detection:
+                    break
+                if not live and not trace_handle:
+                    # With no live track and no pixels, an update without
+                    # detections only counts the call. Skipping whole
+                    # intervals keeps the detection schedule's phase.
+                    upcoming = detection_frames[bisect.bisect_left(detection_frames, frame_index)]
+                    frame_index += (upcoming - frame_index) // interval * interval
             scheduled = by_frame.get(frame_index, ()) if tracker.detects_next else ()
             update = tracker.update(frame_index, scheduled, pixels)
+            live += len(update.registered) - len(update.deregistered)
             if trace_handle:
                 trace_handle.write(_frame_update_json(update) + "\n")
             for tid, point in update.positions:
                 rows.append((tid, frame_index, point.x, point.y))
+            frame_index += 1
     finally:
         if trace_handle:
             trace_handle.close()

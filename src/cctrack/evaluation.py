@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .geometry import BoundingBox, Detection, require_number
+from .geometry import BoundingBox, Detection, require_fraction
 
 DEFAULT_IOU_THRESHOLD = 0.5
 
@@ -183,13 +183,6 @@ def count_tn(
         raise ValueError(f"frame_count must be non-negative, got {frame_count}")
     occupied = {d.frame_index for d in detections} | {g.frame_index for g in ground_truth}
     return frame_count - sum(1 for f in occupied if 0 <= f < frame_count)
-
-
-def require_fraction(name: str, value) -> float:
-    """Return value if it is a finite number in [0, 1]; name labels the error."""
-    if not 0.0 <= require_number(name, value) <= 1.0:
-        raise ValueError(f"{name} must be in [0, 1], got {value}")
-    return value
 
 
 def group_by_frame(records) -> dict[int, list]:

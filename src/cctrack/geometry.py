@@ -41,8 +41,15 @@ def require_number(name: str, value, integral: bool = False):
     raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def require_fraction(name: str, value) -> float:
+    """Return value if it is a finite number in [0, 1]; name labels the error."""
+    if not 0.0 <= require_number(name, value) <= 1.0:
+        raise ValueError(f"{name} must be in [0, 1], got {value}")
+    return value
+
+
 def require_fields(config) -> None:
-    """Check each field of a config dataclass by its annotation: int, float, or a pair."""
+    """Check each config field by its annotation: int, float, or a pair, stored as a tuple."""
     for f in fields(config):
         value = getattr(config, f.name)
         if f.type.startswith("tuple["):
@@ -50,6 +57,7 @@ def require_fields(config) -> None:
                 raise TypeError(f"{f.name} must be a pair, got {value!r}")
             for entry in value:
                 require_number(f"{f.name} entry", entry, f.type == "tuple[int, int]")
+            object.__setattr__(config, f.name, tuple(value))
         else:
             require_number(f.name, value, f.type == "int")
 

@@ -20,9 +20,14 @@ from typing import Iterator
 import numpy as np
 
 from .evaluation import GroundTruthRecord, group_by_frame
-from .geometry import BoundingBox, Detection, config_from_fields, require_fields
+from .geometry import BoundingBox, Detection, config_from_fields, require_fields, require_fraction
 
 _TEXTURE_STREAM = 7919  # seed-sequence tag separating texture rng from motion rng
+
+# Clutter false positives: confidence ~ N(mean, std) in [0, 1], side ~ person_box_size * U(range)
+CLUTTER_CONFIDENCE_MEAN = 0.30
+CLUTTER_CONFIDENCE_STD = 0.10
+CLUTTER_SIZE_RANGE = (0.6, 1.4)
 
 
 @dataclass(frozen=True)
@@ -39,9 +44,6 @@ class ScenarioConfig:
     box_jitter: float = 1.0
     confidence_mean: float = 0.85
     confidence_std: float = 0.04
-    clutter_confidence_mean: float = 0.30
-    clutter_confidence_std: float = 0.10
-    clutter_size_range: tuple[float, float] = (0.6, 1.4)
     crowd_radius: float = 120.0
     crowd_miss_gain: float = 0.015
     crowd_confidence_drop: float = 0.02
@@ -61,13 +63,11 @@ class ScenarioConfig:
         lo, hi = self.speed_range
         if lo < 0 or hi < lo:
             raise ValueError(f"speed_range must satisfy 0 <= lo <= hi, got {self.speed_range}")
-        if not (0.0 <= self.miss_rate_base <= 1.0):
-            raise ValueError(f"miss_rate_base must be in [0, 1], got {self.miss_rate_base}")
+        require_fraction("miss_rate_base", self.miss_rate_base)
         for name in (
             "false_positive_rate",
             "box_jitter",
             "confidence_std",
-            "clutter_confidence_std",
             "crowd_miss_gain",
             "crowd_confidence_drop",
         ):
@@ -77,9 +77,6 @@ class ScenarioConfig:
             raise ValueError(f"rng_seed must be non-negative, got {self.rng_seed}")
         if self.crowd_radius <= 0:
             raise ValueError(f"crowd_radius must be positive, got {self.crowd_radius}")
-        clo, chi = self.clutter_size_range
-        if clo <= 0 or chi < clo:
-            raise ValueError(f"clutter_size_range must satisfy 0 < lo <= hi, got {self.clutter_size_range}")
 
     @property
     def crowd_category(self) -> str:
@@ -148,9 +145,6 @@ def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a plain dict, starting from an optional "preset" key."""
     data = dict(data)
     preset = data.pop("preset", None)
-    for key in ("image_size", "speed_range", "clutter_size_range"):
-        if isinstance(data.get(key), list):
-            data[key] = tuple(data[key])
     if preset is not None:
         return preset_config(preset, **data)
     return config_from_fields(ScenarioConfig, data)
@@ -236,8 +230,8 @@ def generate(config: ScenarioConfig) -> Scenario:
         for _ in range(rng.poisson(config.false_positive_rate)):
             cx = rng.uniform(0, w)
             cy = rng.uniform(0, h)
-            size = config.person_box_size * rng.uniform(*config.clutter_size_range)
-            conf = rng.normal(config.clutter_confidence_mean, config.clutter_confidence_std)
+            size = config.person_box_size * rng.uniform(*CLUTTER_SIZE_RANGE)
+            conf = rng.normal(CLUTTER_CONFIDENCE_MEAN, CLUTTER_CONFIDENCE_STD)
             conf = min(max(conf, 0.0), 1.0)
             clutter = BoundingBox(cx - size / 2, cy - size / 2, cx + size / 2, cy + size / 2)
             detections.append(Detection(frame, clutter, conf, class_id=0))

@@ -31,7 +31,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .correlation import correlate_track
-from .geometry import BoundingBox, Detection, Point, centroid, euclidean, require_fields
+from .geometry import (
+    BoundingBox, Detection, Point, centroid, euclidean, require_fields, require_fraction
+)
 
 
 @dataclass(frozen=True)
@@ -57,10 +59,7 @@ class TrackerConfig:
             raise ValueError(f"max_disappearance must be positive, got {self.max_disappearance}")
         if not self.max_distance > 0:
             raise ValueError(f"max_distance must be positive, got {self.max_distance}")
-        if not (0.0 <= self.confidence_threshold <= 1.0):
-            raise ValueError(
-                f"confidence_threshold must be in [0, 1], got {self.confidence_threshold}"
-            )
+        require_fraction("confidence_threshold", self.confidence_threshold)
         if self.detection_interval < 1:
             raise ValueError(f"detection_interval must be >= 1, got {self.detection_interval}")
         if self.search_margin < 0:

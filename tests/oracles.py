@@ -88,6 +88,46 @@ def associate_reference(existing, incoming, max_distance):
     return AssociationResult(tuple(matches), unmatched_tracks, unmatched_incoming)
 
 
+def _box_center(box):
+    return ((box.x1 + box.x2) / 2.0, (box.y1 + box.y2) / 2.0)
+
+
+def check_lifecycle_update(config, entering, detections, update, live_after, registered_ever):
+    """Assert every per-update lifecycle invariant of one detection update.
+
+    entering maps each track id live before the update to its centroid;
+    live_after is live_tracks() after it. registered_ever holds the ids
+    registered by earlier updates and is extended with this update's.
+    """
+    kept = [
+        d for d in detections
+        if d.confidence >= config.confidence_threshold and d.class_id == config.person_class_id
+    ]
+    matched_ids = [tid for tid, _ in update.matched]
+    # conservation over the kept detections and over the entering tracks
+    assert len(update.matched) + len(update.registered) == len(kept)
+    assert (
+        len(update.matched) + len(update.disappeared_incremented) + len(update.deregistered)
+        == len(entering)
+    )
+    # the event lists are pairwise disjoint
+    ids = (matched_ids + list(update.registered)
+           + list(update.disappeared_incremented) + list(update.deregistered))
+    assert len(ids) == len(set(ids))
+    assert set(matched_ids) <= entering.keys()
+    assert set(update.deregistered) <= entering.keys()
+    # every match was within the gate when paired
+    for tid, det in update.matched:
+        before = (entering[tid].x, entering[tid].y)
+        assert _distance(before, _box_center(det.bbox)) <= config.max_distance + 1e-9
+    for track in live_after:
+        assert track.disappeared <= config.max_disappearance
+        assert (track.centroid.x, track.centroid.y) == _box_center(track.bbox)
+    # no id is ever reused
+    registered_ever.extend(update.registered)
+    assert len(registered_ever) == len(set(registered_ever))
+
+
 def neighbor_counts_reference(xs, ys, radius):
     """For each person, how many others stand closer than radius, every ordered pair tested."""
     counts = []

@@ -12,7 +12,7 @@ import numpy as np
 
 from cctrack.cli import main
 from cctrack.evaluation import NINE_THRESHOLDS, evaluate_at, threshold_sweep
-from cctrack.geometry import BoundingBox, Detection, Point, centroid
+from cctrack.geometry import BoundingBox, Detection, Point
 from cctrack.correlation import correlate_track
 from cctrack.io import (
     read_detections,
@@ -24,7 +24,7 @@ from cctrack.scenario import generate, preset_config
 from cctrack.selfcheck import check_mac_ratio_exact, check_separable_equivalence
 from cctrack.tracker import CentroidCorrelationTracker, TrackerConfig, associate
 
-from oracles import associate_reference, best_gated_matching
+from oracles import associate_reference, best_gated_matching, check_lifecycle_update
 
 
 class _Budget:
@@ -102,27 +102,9 @@ def _run_lifecycle_sequence(rng):
             ))
 
         update = tracker.update(frame, detections)
-        kept = sum(1 for d in detections if d.confidence >= config.confidence_threshold)
-
-        # conservation over detections and over entering tracks
-        assert len(update.matched) + len(update.registered) == kept
-        assert (
-            len(update.matched) + len(update.disappeared_incremented) + len(update.deregistered)
-            == len(entering)
+        check_lifecycle_update(
+            config, entering, detections, update, tracker.live_tracks(), registered_ever
         )
-        # event lists pairwise disjoint
-        ids = ([tid for tid, _ in update.matched] + list(update.registered)
-               + list(update.disappeared_incremented) + list(update.deregistered))
-        assert len(ids) == len(set(ids))
-        # gating on every match
-        for tid, matched_det in update.matched:
-            before = entering[tid]
-            after = centroid(matched_det.bbox)
-            assert np.hypot(before.x - after.x, before.y - after.y) <= config.max_distance + 1e-9
-
-        registered_ever.extend(update.registered)
-        for track in tracker.live_tracks():
-            assert track.disappeared <= config.max_disappearance
 
         # identity preservation for the anchor
         anchor_point = Point(float(anchor[0]), float(anchor[1]))
@@ -133,9 +115,6 @@ def _run_lifecycle_sequence(rng):
         if anchor_id is None:
             anchor_id = holder.id
         assert holder.id == anchor_id, "anchor object switched identity"
-
-    # no id ever reused
-    assert len(registered_ever) == len(set(registered_ever))
 
     # deregistration exactness on the anchor track
     live_ids = {t.id for t in tracker.live_tracks()}

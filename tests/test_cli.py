@@ -1,7 +1,11 @@
 import csv
 import itertools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +13,8 @@ import pytest
 from cctrack.cli import main, parse_threshold_range
 from cctrack.tracker import CentroidCorrelationTracker
 from cctrack.io import read_detections, read_ground_truth, write_frames, write_pgm
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def write_config(tmp_path, name, payload):
@@ -249,7 +255,7 @@ class TestSynth:
             ("box_jitter", float("inf"), "must be finite"),
             ("crowd_radius", float("nan"), "must be finite"),
             ("confidence_std", "0.1", "must be a number"),
-            ("clutter_size_range", [1.0], "must be a pair"),
+            ("speed_range", [1.0], "must be a pair"),
         ],
     )
     def test_scenario_float_field_of_the_wrong_type_names_file_and_key(
@@ -259,6 +265,19 @@ class TestSynth:
         assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
         err = capsys.readouterr().err
         assert f"{config}: {key}" in err and complaint in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("clutter_confidence_mean", 0.3),
+            ("clutter_confidence_std", 0.1),
+            ("clutter_size_range", [0.6, 1.4]),
+        ],
+    )
+    def test_clutter_settings_are_not_config_keys(self, tmp_path, capsys, key, value):
+        config = write_config(tmp_path, "bad.json", {"frame_count": 3, key: value})
+        assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
+        assert f"{config}: unknown config keys: ['{key}']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value", ["false", None, 0])
     def test_render_frames_must_be_a_boolean(self, tmp_path, capsys, value):
@@ -493,6 +512,53 @@ class TestTrack:
         complaint = "not a directory" if frames == "missing" else "no *.pgm frames"
         assert f"{frames}: {complaint}" in capsys.readouterr().err
         assert not trace.exists()
+
+    @pytest.mark.parametrize("interval", [1, 2, 3, 5])
+    def test_idle_stretches_are_skipped_only_without_a_trace(self, tmp_path, capsys, interval):
+        # With no live track and no frame left, track jumps ahead by whole
+        # detection intervals; with --trace it visits every index. The
+        # trajectories and the summary line must not tell the two apart.
+        rng = np.random.default_rng(interval)
+        config = write_config(
+            tmp_path, "trk.json", {"detection_interval": interval, "max_disappearance": 2}
+        )
+        for case in range(8):
+            frames = np.cumsum(rng.integers(1, 12, size=int(rng.integers(1, 12))))
+            dets = tmp_path / f"d{case}.jsonl"
+            dets.write_text("".join(
+                json.dumps({"frame": int(f), "bbox": [x, 10.0, x + 8.0, 18.0],
+                            "score": 0.9, "class": 0}) + "\n"
+                for f in frames for x in rng.uniform(0, 40, size=int(rng.integers(1, 3)))
+            ))
+            results = []
+            for trace in ([], ["--trace", str(tmp_path / "trace.jsonl")]):
+                out = tmp_path / "t.csv"
+                assert main([
+                    "track", "--detections", str(dets), "--config", config, "--out", str(out),
+                ] + trace) == 0
+                results.append((out.read_bytes(), capsys.readouterr().out))
+            assert results[0] == results[1]
+            lines = (tmp_path / "trace.jsonl").read_text().splitlines()
+            assert len(lines) == frames[-1] + 1
+
+    def test_far_frame_index_does_not_walk_every_index(self, tmp_path):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text(
+            '{"frame": 0, "bbox": [10, 10, 20, 20], "score": 0.9, "class": 0}\n'
+            '{"frame": 1000000000000, "bbox": [10, 10, 20, 20], "score": 0.9, "class": 0}\n'
+        )
+        config = write_config(tmp_path, "trk.json", {})
+        out = tmp_path / "t.csv"
+        # A subprocess, so that a run that walks every index is stopped.
+        done = subprocess.run(
+            [sys.executable, "-m", "cctrack.cli", "track", "--detections", str(dets),
+             "--config", config, "--out", str(out)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("track: 1000000000001 frames, 2 identities registered")
+        assert out.read_text().splitlines()[1:] == ["0,0,15.0,15.0", "1,1000000000000,15.0,15.0"]
 
     def test_empty_detections_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.jsonl"

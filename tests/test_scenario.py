@@ -80,6 +80,19 @@ class TestConfig:
         cfg = config_from_dict({"preset": "small", "rng_seed": 9, "frame_count": 10})
         assert cfg.rng_seed == 9 and cfg.frame_count == 10 and cfg.num_people == 3
 
+    def test_list_pairs_are_stored_as_tuples_by_every_entry_point(self):
+        pairs = dict(image_size=[320, 240], speed_range=[0.5, 2.0])
+        configs = [
+            ScenarioConfig(**{**SCENARIO_PRESETS["small"], **pairs}),
+            preset_config("small", **pairs),
+            config_from_dict({"preset": "small", **pairs}),
+            replace(preset_config("small"), **pairs),
+        ]
+        for config in configs:
+            assert config.image_size == (320, 240) and type(config.image_size) is tuple
+            assert config.speed_range == (0.5, 2.0) and type(config.speed_range) is tuple
+            assert config == configs[0] and hash(config) == hash(configs[0])
+
 
 class TestGenerate:
     def test_empty_crowd_has_clutter_only(self):

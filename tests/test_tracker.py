@@ -15,7 +15,7 @@ from cctrack.tracker import (
 )
 
 from conftest import det
-from oracles import associate_reference, best_gated_matching
+from oracles import associate_reference, best_gated_matching, check_lifecycle_update
 
 
 def make_tracker(**overrides):
@@ -378,7 +378,6 @@ class TestConservationInvariants:
             registered_ever = []
             for frame in range(int(rng.integers(5, 25))):
                 entering = {t.id: t.centroid for t in tracker.live_tracks()}
-                live_before = set(entering)
                 n = int(rng.integers(0, 6))
                 dets = [
                     det(frame, x, y, x + 10, y + 10, float(conf))
@@ -387,40 +386,9 @@ class TestConservationInvariants:
                     )
                 ]
                 update = tracker.update(frame, dets)
-                kept = [d for d in dets if d.confidence >= 0.5]
-
-                matched_ids = [tid for tid, _ in update.matched]
-                all_ids = (
-                    matched_ids
-                    + list(update.registered)
-                    + list(update.disappeared_incremented)
-                    + list(update.deregistered)
+                check_lifecycle_update(
+                    config, entering, dets, update, tracker.live_tracks(), registered_ever
                 )
-                # pairwise disjoint across the event lists
-                assert len(all_ids) == len(set(all_ids))
-                # every above-threshold detection either matched or registered
-                assert len(update.matched) + len(update.registered) == len(kept)
-                # every entering live track matched, aged, or aged out
-                assert (
-                    len(update.matched)
-                    + len(update.disappeared_incremented)
-                    + len(update.deregistered)
-                    == len(live_before)
-                )
-                assert set(matched_ids) <= live_before
-                assert set(update.deregistered) <= live_before
-                registered_ever.extend(update.registered)
-                # live-state invariants
-                for track in tracker.live_tracks():
-                    assert track.disappeared <= config.max_disappearance
-                    assert track.centroid == centroid(track.bbox)
-                # gating: matched pairs were within max_distance when paired
-                for tid, matched_det in update.matched:
-                    before = entering[tid]
-                    after = centroid(matched_det.bbox)
-                    distance = np.hypot(before.x - after.x, before.y - after.y)
-                    assert distance <= config.max_distance + 1e-9
-            assert len(registered_ever) == len(set(registered_ever))
 
     def test_determinism_of_update_stream(self, rng):
         frames = []
