@@ -10,7 +10,6 @@ the two results agree to machine precision.
 import numpy as np
 
 from cctrack import (
-    ConvSpec,
     Tensor3,
     conv2d_full,
     depthwise_separable,
@@ -27,8 +26,10 @@ depthwise = rng.normal(size=(4, 3, 3))
 mix = rng.normal(size=(16, 4))
 
 separable = depthwise_separable(x, depthwise, mix, stride=1, padding=1)
+# conv2d_full(x, weights, stride=1, padding=0) reads k and both channel
+# counts off the (out_channels, k, k, in_channels) weights.
 factorized_weights = np.einsum("cij,oc->oijc", depthwise, mix)
-full = conv2d_full(x, factorized_weights, ConvSpec(3, 1, 1, 4, 16))
+full = conv2d_full(x, factorized_weights, stride=1, padding=1)
 
 print("separable vs factorized full convolution")
 print(f"  output shape      {separable.shape}")

@@ -22,7 +22,6 @@ from .evaluation import (
 from .geometry import BoundingBox, Detection, Point, centroid, euclidean, iou
 from .kernels import (
     BatchNormParams,
-    ConvSpec,
     InvertedResidualWeights,
     Tensor3,
     batchnorm,

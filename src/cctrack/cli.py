@@ -262,6 +262,8 @@ def _cmd_priorboxes(args) -> int:
 
 
 def _cmd_convcheck(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     results = selfcheck.run_all(seed=args.seed)
     failed = 0
     for result in results:

@@ -39,6 +39,18 @@ def _fail(path: PathLike, line: int, message: str) -> None:
     raise FormatError(f"{path}:{line}: {message}")
 
 
+def _read_box(path: PathLike, line: int, coords: list[float], invalid: str) -> BoundingBox:
+    """The box of one line's coordinates; a bad box fails as '{invalid}: {why}'."""
+    try:
+        # Past 2**53 not every integer is a float, so no pixel grid lies there;
+        # up to it the centroid, area and IoU union of any boxes stay finite.
+        if max(coords) > 2.0**53 or min(coords) < -(2.0**53):
+            raise ValueError(f"a coordinate is beyond 2**53 in magnitude: {coords}")
+        return BoundingBox(*coords)
+    except ValueError as exc:
+        _fail(path, line, f"{invalid}: {exc}")
+
+
 def _utf8_lines(handle, path: PathLike):
     """The lines of a text handle, failing on the first byte that is not UTF-8."""
     for line_no, line in enumerate(handle, start=1):
@@ -97,11 +109,7 @@ def read_detections(path: PathLike) -> list[Detection]:
             except (TypeError, ValueError) as exc:
                 _fail(path, line_no, str(exc))
             previous_frame = frame
-
-            try:
-                box = BoundingBox(*coords)
-            except ValueError as exc:
-                _fail(path, line_no, f"field 'bbox' invalid: {exc}")
+            box = _read_box(path, line_no, coords, "field 'bbox' invalid")
             detections.append(Detection(frame, box, score, class_id))
     return detections
 
@@ -163,10 +171,7 @@ def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
             if key in seen:
                 _fail(path, line_no, f"duplicate (frame, object_id) pair {key}")
             seen.add(key)
-            try:
-                box = BoundingBox(*coords)
-            except ValueError as exc:
-                _fail(path, line_no, f"invalid box: {exc}")
+            box = _read_box(path, line_no, coords, "invalid box")
             records.append(GroundTruthRecord(frame, box, object_id))
     return records
 

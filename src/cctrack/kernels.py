@@ -11,7 +11,7 @@ These are desk-scale reference implementations (tensors up to roughly
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,29 +50,15 @@ class Tensor3:
         return self.data.shape
 
 
-@dataclass(frozen=True)
-class ConvSpec:
-    """Static shape parameters of one convolution."""
-
-    kernel_size: int
-    stride: int
-    padding: int
-    in_channels: int
-    out_channels: int
-
-    def __post_init__(self):
-        if self.kernel_size < 1 or self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be a positive odd integer, got {self.kernel_size}")
-        if self.stride < 1:
-            raise ValueError(f"stride must be positive, got {self.stride}")
-        if self.padding < 0:
-            raise ValueError(f"padding must be non-negative, got {self.padding}")
-        if self.in_channels < 1 or self.out_channels < 1:
-            raise ValueError("channel counts must be positive")
-
-
 def conv_output_size(in_size: int, kernel_size: int, stride: int, padding: int) -> int:
-    """Spatial output extent: floor((in + 2*padding - kernel) / stride) + 1."""
+    """Spatial output extent: floor((in + 2*padding - kernel) / stride) + 1.
+
+    Every spatial convolution calls this: it is the one check of stride and padding.
+    """
+    if stride < 1:
+        raise ValueError(f"stride must be positive, got {stride}")
+    if padding < 0:
+        raise ValueError(f"padding must be non-negative, got {padding}")
     out = (in_size + 2 * padding - kernel_size) // stride + 1
     if out < 1:
         raise ValueError(
@@ -92,24 +78,17 @@ def _pad_and_window(data: np.ndarray, kernel_size: int, stride: int, padding: in
     return windows[::stride, ::stride]
 
 
-def conv2d_full(x: Tensor3, weights: np.ndarray, spec: ConvSpec) -> Tensor3:
+def conv2d_full(x: Tensor3, weights: np.ndarray, stride: int = 1, padding: int = 0) -> Tensor3:
     """Standard (full) convolution with zero padding.
 
-    weights must have shape (out_channels, k, k, in_channels).
+    weights has shape (out_channels, k, k, in_channels) with k odd.
     """
     weights = np.asarray(weights, dtype=np.float64)
-    expected = (spec.out_channels, spec.kernel_size, spec.kernel_size, spec.in_channels)
-    if weights.shape != expected:
-        for axis, (got, want) in enumerate(zip(weights.shape, expected)):
-            if got != want:
-                names = ("out_channels", "kernel rows", "kernel cols", "in_channels")
-                raise ValueError(
-                    f"weight axis {axis} ({names[axis]}) is {got}, expected {want}"
-                )
-        raise ValueError(f"weights must be 4D {expected}, got shape {weights.shape}")
-    if x.channels != spec.in_channels:
-        raise ValueError(f"input has {x.channels} channels, spec expects {spec.in_channels}")
-    windows = _pad_and_window(x.data, spec.kernel_size, spec.stride, spec.padding)
+    if weights.ndim != 4 or weights.shape[1] != weights.shape[2] or weights.shape[1] % 2 == 0:
+        raise ValueError(f"weights must be (out, k, k, in) with k odd, got {weights.shape}")
+    if weights.shape[3] != x.channels:
+        raise ValueError(f"weights have {weights.shape[3]} in_channels, input has {x.channels}")
+    windows = _pad_and_window(x.data, weights.shape[1], stride, padding)
     out = np.einsum("hwcij,oijc->hwo", windows, weights)
     return Tensor3(out)
 
@@ -160,24 +139,16 @@ def depthwise_separable(
     return pointwise_conv(depthwise_conv(x, per_channel_kernels, stride, padding), mix)
 
 
-def batchnorm(
-    x: Tensor3,
-    mean: np.ndarray,
-    variance: np.ndarray,
-    scale: np.ndarray,
-    shift: np.ndarray,
-    epsilon: float = 1e-5,
-) -> Tensor3:
+def batchnorm(x: Tensor3, params: BatchNormParams, epsilon: float = 1e-5) -> Tensor3:
     """Per-channel normalization: (x - mean) / sqrt(variance + epsilon) * scale + shift."""
-    params = {"mean": mean, "variance": variance, "scale": scale, "shift": shift}
     arrays = {}
-    for name, vec in params.items():
-        vec = np.asarray(vec, dtype=np.float64)
+    for field in fields(params):
+        vec = np.asarray(getattr(params, field.name), dtype=np.float64)
         if vec.shape != (x.channels,):
             raise ValueError(
-                f"batchnorm {name} has length {vec.size}, input has {x.channels} channels"
+                f"batchnorm {field.name} has length {vec.size}, input has {x.channels} channels"
             )
-        arrays[name] = vec
+        arrays[field.name] = vec
     if np.any(arrays["variance"] < 0):
         raise ValueError("variance must be non-negative")
     denom = arrays["variance"] + epsilon
@@ -218,9 +189,9 @@ class BatchNormParams:
 class InvertedResidualWeights:
     """Weight bundle for one inverted residual block.
 
-    With in_channels c and expansion factor t the intermediate width is
-    t*c: expand_mix (t*c, c), depthwise_kernels (t*c, 3, 3),
-    project_mix (out_channels, t*c), plus one batchnorm per stage.
+    With in_channels c and intermediate width m (t*c for expansion
+    factor t): expand_mix (m, c), depthwise_kernels (m, 3, 3),
+    project_mix (out_channels, m), plus one batchnorm per stage.
     """
 
     expand_mix: np.ndarray
@@ -245,39 +216,29 @@ class InvertedResidualWeights:
         )
 
 
-def inverted_residual(
-    x: Tensor3, expansion_factor: int, weights: InvertedResidualWeights, stride: int = 1
-) -> Tensor3:
+def inverted_residual(x: Tensor3, weights: InvertedResidualWeights, stride: int = 1) -> Tensor3:
     """Expand (pointwise) -> 3x3 depthwise -> project (pointwise, linear).
 
     The first two stages get batchnorm + ReLU; the projection gets
     batchnorm only (linear bottleneck). The skip connection adds the
     input iff stride == 1 and the channel count is preserved.
     """
-    if expansion_factor < 1:
-        raise ValueError(f"expansion_factor must be >= 1, got {expansion_factor}")
-    if stride < 1:
-        raise ValueError(f"stride must be positive, got {stride}")
-    mid = x.channels * expansion_factor
     expand_mix = np.asarray(weights.expand_mix, dtype=np.float64)
-    if expand_mix.shape != (mid, x.channels):
+    if expand_mix.shape[1:] != (x.channels,):
         raise ValueError(
-            f"expand_mix shape {expand_mix.shape} inconsistent with "
-            f"{x.channels} input channels at expansion {expansion_factor} (expected {(mid, x.channels)})"
+            f"expand_mix shape {expand_mix.shape} does not fit {x.channels} input channels"
         )
+    mid = expand_mix.shape[0]
     dw = np.asarray(weights.depthwise_kernels, dtype=np.float64)
     if dw.shape != (mid, 3, 3):
         raise ValueError(f"depthwise_kernels shape {dw.shape}, expected {(mid, 3, 3)}")
 
-    def bn(t: Tensor3, p: BatchNormParams) -> Tensor3:
-        return batchnorm(t, p.mean, p.variance, p.scale, p.shift, weights.epsilon)
-
     out = pointwise_conv(x, expand_mix)
-    out = relu(bn(out, weights.expand_bn))
+    out = relu(batchnorm(out, weights.expand_bn, weights.epsilon))
     out = depthwise_conv(out, dw, stride=stride, padding=1)
-    out = relu(bn(out, weights.depthwise_bn))
+    out = relu(batchnorm(out, weights.depthwise_bn, weights.epsilon))
     out = pointwise_conv(out, np.asarray(weights.project_mix, dtype=np.float64))
-    out = bn(out, weights.project_bn)
+    out = batchnorm(out, weights.project_bn, weights.epsilon)
 
     if stride == 1 and out.channels == x.channels:
         if out.shape != x.shape:

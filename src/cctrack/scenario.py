@@ -136,7 +136,7 @@ SCENARIO_PRESETS: dict[str, dict] = {
 
 def preset_config(name: str, **overrides) -> ScenarioConfig:
     """A ScenarioConfig from a named preset, with field overrides applied."""
-    if name not in SCENARIO_PRESETS:
+    if not isinstance(name, str) or name not in SCENARIO_PRESETS:
         raise ValueError(f"unknown preset {name!r}; choose from {sorted(SCENARIO_PRESETS)}")
     return config_from_fields(ScenarioConfig, {**SCENARIO_PRESETS[name], **overrides})
 
@@ -144,9 +144,8 @@ def preset_config(name: str, **overrides) -> ScenarioConfig:
 def config_from_dict(data: dict) -> ScenarioConfig:
     """Build a config from a plain dict, starting from an optional "preset" key."""
     data = dict(data)
-    preset = data.pop("preset", None)
-    if preset is not None:
-        return preset_config(preset, **data)
+    if "preset" in data:
+        return preset_config(data.pop("preset"), **data)
     return config_from_fields(ScenarioConfig, data)
 
 

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import kernels
-from .kernels import ConvSpec, Tensor3
+from .kernels import Tensor3
 
 
 @dataclass
@@ -120,8 +120,7 @@ def check_separable_equivalence(rng, trials=100, tol=1e-9) -> CheckResult:
         dw = rng.normal(size=(c, 3, 3))
         mix = rng.normal(size=(out_c, c))
         sep = kernels.depthwise_separable(x, dw, mix, stride=1, padding=1)
-        spec = ConvSpec(3, 1, 1, c, out_c)
-        full = kernels.conv2d_full(x, _factorized_full_weights(dw, mix), spec)
+        full = kernels.conv2d_full(x, _factorized_full_weights(dw, mix), stride=1, padding=1)
         worst = max(worst, _max_diff(sep.data, full.data))
     return CheckResult(
         "separable equals factorized full convolution",
@@ -144,7 +143,7 @@ def check_kernels_against_loops(rng, trials=20, tol=1e-12) -> CheckResult:
         weights = rng.normal(size=(out_c, 3, 3, c))
         dw = rng.normal(size=(c, 3, 3))
         mix = rng.normal(size=(out_c, c))
-        full = kernels.conv2d_full(Tensor3(x), weights, ConvSpec(3, stride, padding, c, out_c))
+        full = kernels.conv2d_full(Tensor3(x), weights, stride=stride, padding=padding)
         full_ref = conv_full_loops(x, weights, stride, padding)
         depth = kernels.depthwise_conv(Tensor3(x), dw, stride=stride, padding=padding)
         depth_ref = depthwise_loops(x, dw, stride, padding)
@@ -231,18 +230,18 @@ def check_identities(rng) -> CheckResult:
     """Batchnorm/ReLU/residual identity behaviors."""
     x = Tensor3(rng.normal(size=(5, 5, 4)))
     c = x.channels
-    bn = kernels.batchnorm(x, np.zeros(c), np.ones(c), np.ones(c), np.zeros(c), epsilon=0.0)
+    bn = kernels.batchnorm(x, kernels.BatchNormParams.identity(c), epsilon=0.0)
     if not np.array_equal(bn.data, x.data):
         return CheckResult("identity parameter behaviors", False, "batchnorm identity failed")
     r1 = kernels.relu(x)
     if not np.array_equal(kernels.relu(r1).data, r1.data):
         return CheckResult("identity parameter behaviors", False, "relu not idempotent")
     zero_w = kernels.InvertedResidualWeights.zeros(c, c, expansion_factor=6)
-    block = kernels.inverted_residual(x, 6, zero_w, stride=1)
+    block = kernels.inverted_residual(x, zero_w, stride=1)
     if not np.array_equal(block.data, x.data):
         return CheckResult("identity parameter behaviors", False, "zero-weight residual not identity")
     # same channel count in and out, so only the stride keeps the skip away
-    strided = kernels.inverted_residual(Tensor3(rng.normal(size=(6, 6, 3))), 2,
+    strided = kernels.inverted_residual(Tensor3(rng.normal(size=(6, 6, 3))),
                                         kernels.InvertedResidualWeights.zeros(3, 3, 2), stride=2)
     if strided.shape != (3, 3, 3) or np.any(strided.data):
         return CheckResult("identity parameter behaviors", False,

@@ -598,8 +598,16 @@ class TestBadNumbersAreDataErrors:
                 {"image_size": [10**400, 100], "render_frames": False},
                 "image_size entry is out of the float range",
             ),
+            (
+                {"preset": ["small"]},
+                "unknown preset ['small']; choose from ['large', 'medium', 'noiseless', 'small']",
+            ),
+            (
+                {"preset": None},
+                "unknown preset None; choose from ['large', 'medium', 'noiseless', 'small']",
+            ),
         ],
-        ids=["box_jitter", "speed_range", "rng_seed", "image_size"],
+        ids=["box_jitter", "speed_range", "rng_seed", "image_size", "preset-list", "preset-null"],
     )
     def test_synth_config(self, tmp_path, capsys, payload, complaint):
         config = write_config(tmp_path, "bad.json", {"frame_count": 3, **payload})
@@ -617,6 +625,34 @@ class TestBadNumbersAreDataErrors:
         code = main(["synth", "--config", config, "--out-dir", str(tmp_path / "x"), "--seed", "-3"])
         assert code == 2
         assert "--seed: rng_seed must be non-negative, got -3" in self.one_line_error(capsys)
+
+    def test_negative_convcheck_seed_flag(self, capsys):
+        assert main(["convcheck", "--seed", "-1"]) == 2
+        assert "--seed must be non-negative, got -1" in self.one_line_error(capsys)
+
+    # Past 2**53 a box's centroid or area can overflow to inf, and its IoU to NaN.
+    @pytest.mark.parametrize("command, far", [("track", "dets"), ("eval", "dets"), ("eval", "gt")])
+    def test_box_coordinate_beyond_2_to_the_53(self, tmp_path, capsys, files, command, far):
+        dets, gt = files
+        if far == "dets":
+            dets = tmp_path / "far.jsonl"
+            dets.write_text(
+                '{"frame": 0, "bbox": [1e308, 0, 1.5e308, 10], "score": 0.5, "class": 0}\n'
+            )
+            where = f"{dets}:1"
+        else:
+            gt = tmp_path / "far.csv"
+            gt.write_text("frame,object_id,x1,y1,x2,y2\n0,0,1e308,0,1.5e308,10\n")
+            where = f"{gt}:2"
+        if command == "track":
+            argv = ["track", "--detections", str(dets), "--out", str(tmp_path / "t.csv"),
+                    "--config", write_config(tmp_path, "trk.json", {})]
+        else:
+            argv = ["eval", "--detections", str(dets), "--groundtruth", str(gt),
+                    "--threshold", "0.5"]
+        assert main(argv) == 2
+        err = self.one_line_error(capsys)
+        assert err.startswith(f"cctrack: error: {where}: ") and "beyond 2**53 in magnitude" in err
 
     def test_frames_that_do_not_fit_in_memory(self, tmp_path, capsys, monkeypatch):
         from cctrack import cli

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 import cctrack.kernels
 from cctrack.kernels import (
     BatchNormParams,
-    ConvSpec,
     InvertedResidualWeights,
     Tensor3,
     batchnorm,
@@ -57,19 +57,19 @@ class TestFullConv:
     def test_identity_kernel_on_single_pixel(self):
         x = t3([[[3.5]]])
         w = np.ones((1, 1, 1, 1))
-        out = conv2d_full(x, w, ConvSpec(1, 1, 0, 1, 1))
+        out = conv2d_full(x, w)
         assert out.data[0, 0, 0] == 3.5
 
     def test_zero_input_stays_zero(self, rng):
         x = t3(np.zeros((4, 4, 2)))
         w = rng.normal(size=(3, 3, 3, 2))
-        out = conv2d_full(x, w, ConvSpec(3, 1, 1, 2, 3))
+        out = conv2d_full(x, w, padding=1)
         assert np.all(out.data == 0)
 
     def test_box_filter_sums_to_nine(self):
         x = t3(np.ones((3, 3, 1)))
         w = np.ones((1, 3, 3, 1))
-        out = conv2d_full(x, w, ConvSpec(3, 1, 0, 1, 1))
+        out = conv2d_full(x, w)
         assert out.shape == (1, 1, 1)
         assert out.data[0, 0, 0] == 9.0
 
@@ -77,9 +77,14 @@ class TestFullConv:
         x = t3(np.zeros((4, 4, 2)))
         bad = np.zeros((3, 3, 3, 5))
         with pytest.raises(ValueError, match="in_channels"):
-            conv2d_full(x, bad, ConvSpec(3, 1, 1, 2, 3))
-        with pytest.raises(ValueError, match="out_channels"):
-            conv2d_full(x, np.zeros((4, 3, 3, 2)), ConvSpec(3, 1, 1, 2, 3))
+            conv2d_full(x, bad, padding=1)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 2, 2, 2), (3, 3, 5, 2), (3, 3, 3)], ids=["even", "non-square", "3-D"]
+    )
+    def test_kernel_shape_read_off_the_weights_is_checked(self, shape):
+        with pytest.raises(ValueError, match="k odd"):
+            conv2d_full(t3(np.zeros((6, 6, 2))), np.zeros(shape))
 
     def test_empty_output_rejected(self):
         with pytest.raises(ValueError, match="empty output"):
@@ -140,27 +145,52 @@ class TestSeparable:
         assert np.array_equal(fused.data, two_step.data)
 
 
+_X = t3(np.zeros((5, 5, 2)))
+_SPATIAL_KERNELS = {
+    "conv_output_size": lambda stride, padding: conv_output_size(5, 3, stride, padding),
+    "conv2d_full": lambda stride, padding: conv2d_full(_X, np.ones((1, 3, 3, 2)), stride, padding),
+    "depthwise_conv": lambda stride, padding: depthwise_conv(_X, np.ones((2, 3, 3)), stride, padding),
+    "depthwise_separable": lambda stride, padding: depthwise_separable(
+        _X, np.ones((2, 3, 3)), np.ones((1, 2)), stride, padding),
+    "inverted_residual": lambda stride, padding: inverted_residual(
+        _X, InvertedResidualWeights.zeros(2, 2, 1), stride),
+}
+
+
+@pytest.mark.parametrize(
+    "kernel, stride, padding, bad",
+    [(kernel, *case) for kernel in _SPATIAL_KERNELS if kernel != "inverted_residual"
+     for case in [(0, 0, "stride"), (-1, 0, "stride"), (1, -1, "padding")]]
+    + [("inverted_residual", 0, 0, "stride")],
+)
+def test_bad_stride_or_padding_is_named(kernel, stride, padding, bad):
+    with pytest.raises(ValueError, match=f"^{bad} must be"):
+        _SPATIAL_KERNELS[kernel](stride, padding)
+
+
 class TestBatchNormRelu:
     def test_centering_a_constant_channel(self):
         x = t3(np.full((2, 2, 1), 7.0))
-        out = batchnorm(x, np.array([7.0]), np.ones(1), np.ones(1), np.zeros(1), epsilon=0.0)
+        params = BatchNormParams(np.array([7.0]), np.ones(1), np.ones(1), np.zeros(1))
+        out = batchnorm(x, params, epsilon=0.0)
         assert np.all(out.data == 0)
 
     def test_scalar_case_hand_arithmetic(self):
         # (4 - 2) / sqrt(4) * 3 + 1 == 4
         x = t3([[[4.0]]])
-        out = batchnorm(x, np.array([2.0]), np.array([4.0]), np.array([3.0]), np.array([1.0]), 0.0)
+        params = BatchNormParams(np.array([2.0]), np.array([4.0]), np.array([3.0]), np.array([1.0]))
+        out = batchnorm(x, params, 0.0)
         assert out.data[0, 0, 0] == 4.0
 
     def test_parameter_length_mismatch(self):
         x = t3(np.zeros((2, 2, 3)))
         with pytest.raises(ValueError, match="mean"):
-            batchnorm(x, np.zeros(2), np.ones(3), np.ones(3), np.zeros(3))
+            batchnorm(x, BatchNormParams(np.zeros(2), np.ones(3), np.ones(3), np.zeros(3)))
 
     def test_negative_variance_rejected(self):
         x = t3(np.zeros((1, 1, 1)))
         with pytest.raises(ValueError, match="variance"):
-            batchnorm(x, np.zeros(1), np.array([-1.0]), np.ones(1), np.zeros(1))
+            batchnorm(x, BatchNormParams(np.zeros(1), np.array([-1.0]), np.ones(1), np.zeros(1)))
 
     def test_relu_basics(self, rng):
         x = t3([[[-1.0], [0.0], [2.0]]])
@@ -197,17 +227,14 @@ class TestInvertedResidual:
                 rng.normal(size=out_c), rng.normal(size=out_c),
             ),
         )
-        got = inverted_residual(x, t, weights, stride=1)
-
-        def bn(tensor, p):
-            return batchnorm(tensor, p.mean, p.variance, p.scale, p.shift, weights.epsilon)
+        got = inverted_residual(x, weights, stride=1)
 
         manual = pointwise_conv(x, weights.expand_mix)
-        manual = relu(bn(manual, weights.expand_bn))
+        manual = relu(batchnorm(manual, weights.expand_bn, weights.epsilon))
         manual = depthwise_conv(manual, weights.depthwise_kernels, stride=1, padding=1)
-        manual = relu(bn(manual, weights.depthwise_bn))
+        manual = relu(batchnorm(manual, weights.depthwise_bn, weights.epsilon))
         manual = pointwise_conv(manual, weights.project_mix)
-        manual = bn(manual, weights.project_bn)
+        manual = batchnorm(manual, weights.project_bn, weights.epsilon)
         assert np.array_equal(got.data, manual.data)  # bit-identical composition
 
     def test_residual_with_matching_channels_adds_input(self, rng):
@@ -222,7 +249,7 @@ class TestInvertedResidual:
             project_bn=BatchNormParams.identity(c),
             epsilon=0.0,
         )
-        with_skip = inverted_residual(x, 1, weights, stride=1)
+        with_skip = inverted_residual(x, weights, stride=1)
         branch = pointwise_conv(x, weights.expand_mix)
         branch = relu(branch)
         branch = depthwise_conv(branch, weights.depthwise_kernels, stride=1, padding=1)
@@ -231,10 +258,12 @@ class TestInvertedResidual:
         assert np.allclose(with_skip.data, branch.data + x.data, atol=1e-12)
 
     def test_inconsistent_bundle_rejected(self, rng):
-        x = t3(rng.normal(size=(4, 4, 3)))
         weights = InvertedResidualWeights.zeros(3, 3, expansion_factor=2)
         with pytest.raises(ValueError, match="expand_mix"):
-            inverted_residual(x, 4, weights, stride=1)
+            inverted_residual(t3(rng.normal(size=(4, 4, 4))), weights, stride=1)
+        torn = dataclasses.replace(weights, depthwise_kernels=np.zeros((5, 3, 3)))
+        with pytest.raises(ValueError, match="depthwise_kernels"):
+            inverted_residual(t3(rng.normal(size=(4, 4, 3))), torn, stride=1)
 
 
 class TestMacAccounting:
@@ -276,7 +305,7 @@ class TestConvcheckProperties:
             ),
             pytest.param(
                 check_kernels_against_loops, "conv2d_full",
-                lambda real: lambda x, w, spec: real(x, w[:, ::-1, ::-1, :], spec),
+                lambda real: lambda x, w, **kwargs: real(x, w[:, ::-1, ::-1, :], **kwargs),
                 id="full-conv-flipped-kernel",
             ),
             pytest.param(
@@ -286,8 +315,7 @@ class TestConvcheckProperties:
             ),
             pytest.param(
                 check_identities, "batchnorm",
-                lambda real: lambda x, mean, variance, scale, shift, epsilon=1e-5: real(
-                    x, mean, variance, scale, shift, 1e-5),
+                lambda real: lambda x, params, epsilon=1e-5: real(x, params, 1e-5),
                 id="batchnorm-ignores-epsilon-zero",
             ),
             pytest.param(

@@ -80,6 +80,12 @@ class TestConfig:
         cfg = config_from_dict({"preset": "small", "rng_seed": 9, "frame_count": 10})
         assert cfg.rng_seed == 9 and cfg.frame_count == 10 and cfg.num_people == 3
 
+    def test_preset_key_when_present_must_name_a_preset(self):
+        assert config_from_dict({"frame_count": 10}) == ScenarioConfig(frame_count=10)
+        for preset in (["small"], None):
+            with pytest.raises(ValueError, match=r"unknown preset .*; choose from \['large', "):
+                config_from_dict({"preset": preset})
+
     def test_list_pairs_are_stored_as_tuples_by_every_entry_point(self):
         pairs = dict(image_size=[320, 240], speed_range=[0.5, 2.0])
         configs = [
