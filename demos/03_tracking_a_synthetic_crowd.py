@@ -6,7 +6,7 @@ what survives into stable identities using nearest-centroid association
 with distance gating and a disappearance allowance.
 """
 
-from collections import Counter
+from collections import Counter, defaultdict
 
 from cctrack import (
     CentroidCorrelationTracker,
@@ -31,12 +31,15 @@ tracker = CentroidCorrelationTracker(TrackerConfig(
 ))
 
 events = Counter()
+sightings = defaultdict(list)  # track id -> [(frame, centroid)], one per sighting
 for frame in range(config.frame_count):
     update = tracker.update(frame, by_frame.get(frame, ()))
     events["matched"] += len(update.matched)
     events["registered"] += len(update.registered)
     events["aged"] += len(update.disappeared_incremented)
     events["deregistered"] += len(update.deregistered)
+    for track_id, point in update.positions:
+        sightings[track_id].append((frame, point))
 
 print("\nlifecycle event totals over the run:")
 for name in ("matched", "registered", "aged", "deregistered"):
@@ -48,10 +51,11 @@ print(f"{tracker.next_id} identities were ever registered "
       f"for {config.num_people} true people; extras come from clutter "
       f"and long disappearances")
 
-longest = max(live, key=lambda t: len(t.history))
-first_frame, first_point = longest.history[0]
-last_frame, last_point = longest.history[-1]
+longest = max(live, key=lambda t: len(sightings[t.id]))
+path = sightings[longest.id]
+first_frame, first_point = path[0]
+last_frame, last_point = path[-1]
 print(f"\ntrack {longest.id} covered frames {first_frame}..{last_frame} "
-      f"({len(longest.history)} sightings), "
+      f"({len(path)} sightings), "
       f"from ({first_point.x:.0f}, {first_point.y:.0f}) "
       f"to ({last_point.x:.0f}, {last_point.y:.0f})")

@@ -17,7 +17,7 @@ import sys
 from pathlib import Path
 
 from . import io, scenario, selfcheck
-from .evaluation import evaluate_at, group_by_frame, threshold_sweep
+from .evaluation import group_by_frame, threshold_sweep
 from .geometry import config_from_fields, require_fraction, require_number
 from .priorbox import default_layer_specs, prior_box_count
 from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
@@ -174,12 +174,16 @@ def _cmd_track(args) -> int:
             if pixels is None:
                 if frame_index > last_detection:
                     break
-                if not live and not trace_handle:
+                if not live:
                     # With no live track and no pixels, an update without
-                    # detections only counts the call. Skipping whole
-                    # intervals keeps the detection schedule's phase.
+                    # detections only counts the call and traces empty lists.
+                    # Skipping whole intervals keeps the schedule's phase.
                     upcoming = detection_frames[bisect.bisect_left(detection_frames, frame_index)]
-                    frame_index += (upcoming - frame_index) // interval * interval
+                    skip_to = frame_index + (upcoming - frame_index) // interval * interval
+                    if trace_handle:
+                        for skipped in range(frame_index, skip_to):
+                            trace_handle.write(_frame_update_json(FrameUpdate(skipped)) + "\n")
+                    frame_index = skip_to
             scheduled = by_frame.get(frame_index, ()) if tracker.detects_next else ()
             update = tracker.update(frame_index, scheduled, pixels)
             live += len(update.registered) - len(update.deregistered)
@@ -204,34 +208,27 @@ def _cmd_track(args) -> int:
     return 0
 
 
-def _cmd_eval(args) -> int:
+def _evaluate(args, thresholds: list[float]):
+    """Check the shared flags, read both files and score them at each threshold."""
     require_fraction("--iou", args.iou)
+    if args.frame_count is not None and args.frame_count < 0:
+        raise ValueError(f"--frame-count must be non-negative, got {args.frame_count}")
     detections = io.read_detections(args.detections)
     ground_truth = io.read_ground_truth(args.groundtruth)
-    report = evaluate_at(
-        detections,
-        ground_truth,
-        args.threshold,
-        iou_threshold=args.iou,
-        frame_count=args.frame_count,
-    )
+    return threshold_sweep(detections, ground_truth, thresholds, args.iou, args.frame_count)
+
+
+def _cmd_eval(args) -> int:
+    require_fraction("--threshold", args.threshold)
+    (report,) = _evaluate(args, [args.threshold])
     print(json.dumps(report.to_dict()))
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    require_fraction("--iou", args.iou)
     with _errors_name("--thresholds"):
         thresholds = parse_threshold_range(args.thresholds)
-    detections = io.read_detections(args.detections)
-    ground_truth = io.read_ground_truth(args.groundtruth)
-    reports = threshold_sweep(
-        detections,
-        ground_truth,
-        thresholds,
-        iou_threshold=args.iou,
-        frame_count=args.frame_count,
-    )
+    reports = _evaluate(args, thresholds)
     lines = [",".join(SWEEP_COLUMNS)]
     for report in reports:
         row = report.to_dict()
@@ -293,20 +290,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", default=None, help="optional frame-update JSONL trace path")
     p.set_defaults(func=_cmd_track)
 
-    p = sub.add_parser("eval", help="metrics at one confidence threshold (JSON to stdout)")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--groundtruth", required=True)
+    # eval is a one-threshold sweep: the two share these flags.
+    scoring = _Parser(add_help=False)
+    scoring.add_argument("--detections", required=True)
+    scoring.add_argument("--groundtruth", required=True)
+    scoring.add_argument("--iou", type=float, default=0.5, help="IoU matching threshold")
+    scoring.add_argument("--frame-count", type=int, help="frame universe for TN counting")
+
+    p = sub.add_parser("eval", parents=[scoring], help="metrics at one confidence threshold (JSON)")
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--iou", type=float, default=0.5, help="IoU matching threshold")
-    p.add_argument("--frame-count", type=int, default=None, help="frame universe for TN counting")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("sweep", help="metrics swept over confidence thresholds (CSV)")
-    p.add_argument("--detections", required=True)
-    p.add_argument("--groundtruth", required=True)
+    p = sub.add_parser("sweep", parents=[scoring], help="metrics swept over thresholds (CSV)")
     p.add_argument("--thresholds", default="0.1:0.9:0.1", help="range start:end:step, inclusive")
-    p.add_argument("--iou", type=float, default=0.5)
-    p.add_argument("--frame-count", type=int, default=None)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_sweep)
 

@@ -240,12 +240,9 @@ def threshold_sweep(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     frame_count: Optional[int] = None,
 ) -> list[MetricsReport]:
-    """Evaluate the sequence once per threshold, strictly increasing in (0, 1)."""
+    """Evaluate the sequence once per threshold, strictly increasing in [0, 1]."""
     if len(thresholds) == 0:
         raise ValueError("threshold list must not be empty")
-    for t in thresholds:
-        if not (0.0 < t < 1.0):
-            raise ValueError(f"sweep thresholds must lie strictly inside (0, 1), got {t}")
     for a, b in zip(thresholds, thresholds[1:]):
         if not a < b:
             raise ValueError(f"thresholds must be strictly increasing, got {a} then {b}")

@@ -134,10 +134,13 @@ def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
 
 
 def _csv_rows(handle, path: PathLike):
-    """The rows of a CSV text handle; a csv.Error becomes a FormatError at its line."""
+    """(first line, row) for each CSV row; a csv.Error becomes a FormatError at its line."""
     reader = csv.reader(_utf8_lines(handle, path))
+    start = 1
     try:
-        yield from reader
+        for row in reader:
+            yield start, row
+            start = reader.line_num + 1
     except csv.Error as exc:
         _fail(path, reader.line_num, f"malformed CSV: {exc}")
 
@@ -147,11 +150,11 @@ def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
     records: list[GroundTruthRecord] = []
     seen: set[tuple[int, int]] = set()
     with open(path, "r", encoding="utf-8", errors="surrogateescape", newline="") as handle:
-        reader = _csv_rows(handle, path)
-        header = next(reader, None)
+        rows = _csv_rows(handle, path)
+        _, header = next(rows, (1, None))
         if header != GROUND_TRUTH_HEADER:
             _fail(path, 1, f"header must be {','.join(GROUND_TRUTH_HEADER)}, got {header}")
-        for line_no, row in enumerate(reader, start=2):
+        for line_no, row in rows:
             if not row:
                 continue
             if len(row) != 6:

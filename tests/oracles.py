@@ -210,10 +210,15 @@ def correlate_track_reference(
     Searches offsets up to search_margin pixels per axis. A zero-variance
     (flat) patch has no correlation signal: the box is returned unchanged
     with the degenerate flag set. Raises ValueError if bbox falls outside
-    the previous frame or the frames disagree in shape.
+    the previous frame or the frames disagree in shape. Integer frames are
+    summed exactly and rounded to float64 only in the final division, so
+    8-bit scores are exact; other frames are summed in float64.
     """
-    prev = np.asarray(prev_frame, dtype=np.float64)
-    cur = np.asarray(cur_frame, dtype=np.float64)
+    prev = np.asarray(prev_frame)
+    cur = np.asarray(cur_frame)
+    exact = prev.dtype.kind in "biu" and cur.dtype.kind in "biu"
+    prev = prev.astype(np.int64 if exact else np.float64)
+    cur = cur.astype(np.int64 if exact else np.float64)
     if prev.ndim != 2 or cur.ndim != 2:
         raise ValueError("frames must be 2D grayscale arrays")
     if prev.shape != cur.shape:
@@ -229,9 +234,15 @@ def correlate_track_reference(
         )
 
     template = prev[y1:y2, x1:x2]
-    t_centered = template - template.mean()
-    t_energy = float(np.sum(t_centered * t_centered))
-    if t_energy == 0.0:
+    n = template.size
+    if exact:
+        # n-scaled centred sums as Python ints: n * sum(T**2) - sum(T)**2.
+        t_sum = int(template.sum())
+        t_energy = n * int(np.sum(template * template)) - t_sum * t_sum
+    else:
+        t_centered = template - template.mean()
+        t_energy = float(np.sum(t_centered * t_centered))
+    if t_energy == 0:
         return CorrelationResult(bbox, 0, 0, degenerate=True, score=0.0)
 
     sx1 = max(0, x1 - search_margin)
@@ -241,13 +252,21 @@ def correlate_track_reference(
     search = cur[sy1:sy2, sx1:sx2]
 
     windows = sliding_window_view(search, template.shape)
-    n = template.size
-    # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
-    cross = np.einsum("ijhw,hw->ij", windows, t_centered)
     win_sum = np.einsum("ijhw->ij", windows)
     win_sq = np.einsum("ijhw,ijhw->ij", windows, windows)
-    win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
-    denom = np.sqrt(win_energy * t_energy)
+    if exact:
+        # The raw int64 sums fit; their n-scaled products need Python ints
+        # on wide integer frames. n * sum(W * T) - sum(W) * sum(T) and
+        # n * sum(W**2) - sum(W)**2 are the centred terms scaled by n.
+        win_sum = win_sum.astype(object)
+        raw_cross = np.einsum("ijhw,hw->ij", windows, template).astype(object)
+        cross = (n * raw_cross - win_sum * t_sum).astype(np.float64)
+        win_energy = (n * win_sq.astype(object) - win_sum * win_sum).astype(np.float64)
+    else:
+        # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
+        cross = np.einsum("ijhw,hw->ij", windows, t_centered)
+        win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
+    denom = np.sqrt(win_energy * float(t_energy))
     with np.errstate(divide="ignore", invalid="ignore"):
         ncc = np.where(denom > 0.0, cross / denom, 0.0)
 

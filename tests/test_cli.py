@@ -10,8 +10,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cctrack.cli import main, parse_threshold_range
-from cctrack.tracker import CentroidCorrelationTracker
+from cctrack.cli import _frame_update_json, main, parse_threshold_range
+from cctrack.evaluation import group_by_frame
+from cctrack.geometry import config_from_fields
+from cctrack.tracker import CentroidCorrelationTracker, TrackerConfig
 from cctrack.io import read_detections, read_ground_truth, write_frames, write_pgm
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -30,6 +32,42 @@ def synth(tmp_path, capsys, payload, out_name="data"):
     capsys.readouterr()
     assert code == 0
     return out_dir
+
+
+def track_every_index(dets, payload):
+    """Reference for track without frames: update at every index, skipping none.
+
+    Returns the trajectory rows, the trace lines and the frame count.
+    """
+    by_frame = group_by_frame(read_detections(dets))
+    tracker = CentroidCorrelationTracker(config_from_fields(TrackerConfig, payload))
+    rows, trace = [], []
+    frame_count = max(by_frame) + 1
+    for k in range(frame_count):
+        update = tracker.update(k, by_frame.get(k, ()) if tracker.detects_next else ())
+        trace.append(_frame_update_json(update))
+        rows.extend(sorted((tid, k, p.x, p.y) for tid, p in update.positions))
+    summary = (
+        f"track: {frame_count} frames, {tracker.next_id} identities registered, "
+        f"{len(tracker.live_tracks())} live at end"
+    )
+    return rows, trace, summary
+
+
+def assert_track_is_the_full_walk(tmp_path, capsys, dets, payload):
+    """Run track on dets with and without --trace; both must match track_every_index."""
+    rows, trace_lines, summary = track_every_index(dets, payload)
+    config = write_config(tmp_path, "walk.json", payload)
+    out, trace = tmp_path / "walk.csv", tmp_path / "walk.jsonl"
+    for traced in ([], ["--trace", str(trace)]):
+        assert main([
+            "track", "--detections", str(dets), "--config", config, "--out", str(out),
+        ] + traced) == 0
+        assert capsys.readouterr().out == f"{summary} -> {out}\n"
+        got = [(int(t), int(f), float(x), float(y))
+               for t, f, x, y in (line.split(",") for line in out.read_text().splitlines()[1:])]
+        assert got == rows
+    assert trace.read_text().splitlines() == trace_lines
 
 
 class TestThresholdRange:
@@ -317,27 +355,24 @@ class TestEvalAndSweep:
         assert [float(r["threshold"]) for r in rows] == [i / 10 for i in range(1, 10)]
 
     def test_eval_equals_the_matching_sweep_row_bit_for_bit(self, dataset, capsys):
-        main([
-            "sweep", "--detections", str(dataset / "detections.jsonl"),
-            "--groundtruth", str(dataset / "groundtruth.csv"),
-        ])
-        sweep_rows = {
-            row["threshold"]: row
-            for row in csv.DictReader(capsys.readouterr().out.splitlines())
-        }
-        for threshold in ("0.3", "0.7", "0.9"):
-            main([
-                "eval", "--detections", str(dataset / "detections.jsonl"),
-                "--groundtruth", str(dataset / "groundtruth.csv"),
-                "--threshold", threshold,
-            ])
-            report = json.loads(capsys.readouterr().out)
-            row = sweep_rows[threshold]
-            for column in ("tp", "fp", "fn", "tn"):
-                assert report[column] == int(row[column])
-            for column in ("precision", "recall", "accuracy"):
-                # same float bits, hence the same shortest repr
-                assert repr(report[column]) == row[column]
+        files = ["--detections", str(dataset / "detections.jsonl"),
+                 "--groundtruth", str(dataset / "groundtruth.csv")]
+        # The default range, and one that takes in both ends of [0, 1].
+        for thresholds, expected in (
+            ("0.1:0.9:0.1", [repr(i / 10) for i in range(1, 10)]),
+            ("0:1:0.5", ["0.0", "0.5", "1.0"]),
+        ):
+            assert main(["sweep", *files, "--thresholds", thresholds]) == 0
+            rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+            assert [row["threshold"] for row in rows] == expected
+            for row in rows:
+                assert main(["eval", *files, "--threshold", row["threshold"]]) == 0
+                report = json.loads(capsys.readouterr().out)
+                for column in ("tp", "fp", "fn", "tn"):
+                    assert report[column] == int(row[column])
+                for column in ("precision", "recall", "accuracy"):
+                    # same float bits, hence the same shortest repr
+                    assert repr(report[column]) == row[column]
 
     def test_sweep_out_file(self, dataset, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
@@ -367,9 +402,9 @@ class TestEvalAndSweep:
         code = main([
             "sweep", "--detections", str(dataset / "detections.jsonl"),
             "--groundtruth", str(dataset / "groundtruth.csv"),
-            "--thresholds", "0.0:0.9:0.1",
+            "--thresholds", "0.0:1.5:0.1",
         ])
-        assert code == 2  # 0.0 violates the open-interval rule
+        assert code == 2  # 1.5 lies outside [0, 1]
 
 
 class TestTrack:
@@ -514,10 +549,10 @@ class TestTrack:
         assert not trace.exists()
 
     @pytest.mark.parametrize("interval", [1, 2, 3, 5])
-    def test_idle_stretches_are_skipped_only_without_a_trace(self, tmp_path, capsys, interval):
+    def test_idle_stretches_are_skipped_with_or_without_a_trace(self, tmp_path, capsys, interval):
         # With no live track and no frame left, track jumps ahead by whole
-        # detection intervals; with --trace it visits every index. The
-        # trajectories and the summary line must not tell the two apart.
+        # detection intervals; --trace still writes a line for every index.
+        # The trajectories and the summary line must not tell the two apart.
         rng = np.random.default_rng(interval)
         config = write_config(
             tmp_path, "trk.json", {"detection_interval": interval, "max_disappearance": 2}
@@ -540,6 +575,60 @@ class TestTrack:
             assert results[0] == results[1]
             lines = (tmp_path / "trace.jsonl").read_text().splitlines()
             assert len(lines) == frames[-1] + 1
+            # Both runs skip the same way, so each is also checked against
+            # a walk of every index: a skip that loses the phase fails here.
+            assert_track_is_the_full_walk(
+                tmp_path, capsys, dets, {"detection_interval": interval, "max_disappearance": 2}
+            )
+
+    @pytest.mark.parametrize("interval", [1, 3])
+    def test_traced_idle_gap_is_not_updated_index_by_index(
+        self, tmp_path, capsys, monkeypatch, interval
+    ):
+        def sightings(name, frames):
+            path = tmp_path / name
+            path.write_text("".join(
+                json.dumps({"frame": f, "bbox": [10, 10, 20, 20], "score": 0.9, "class": 0})
+                + "\n" for f in frames
+            ))
+            return path
+
+        payload = {"detection_interval": interval, "max_disappearance": 1}
+        # The same shape of input with shorter gaps, against a walk of every
+        # index. The sightings after frame 0 fall at every phase of a 3-frame
+        # interval, so a run that skips them out of phase sees other ones.
+        assert_track_is_the_full_walk(
+            tmp_path, capsys, sightings("short.jsonl", (0, 1_000, 2_001, 3_002)), payload
+        )
+        gap = 200_000
+        dets = sightings("d.jsonl", (0, gap))
+        config = write_config(tmp_path, "trk.json", payload)
+        update = CentroidCorrelationTracker.update
+        updated = []
+
+        def counting_update(tracker, frame_index, *rest):
+            updated.append(frame_index)
+            return update(tracker, frame_index, *rest)
+
+        monkeypatch.setattr(CentroidCorrelationTracker, "update", counting_update)
+        trace = tmp_path / "trace.jsonl"
+        results = []
+        for traced in ([], ["--trace", str(trace)]):
+            out = tmp_path / "t.csv"
+            updated.clear()
+            assert main([
+                "track", "--detections", str(dets), "--config", config, "--out", str(out),
+            ] + traced) == 0
+            results.append((out.read_bytes(), capsys.readouterr().out))
+            # The track is gone within a few intervals; the rest of the gap is skipped.
+            assert sum(1 for f in updated if 10 * interval < f < gap) < interval
+        assert results[0] == results[1]
+        lines = trace.read_text().splitlines()
+        assert len(lines) == gap + 1
+        idle = json.loads(lines[gap // 2])
+        assert idle == {"frame": gap // 2, "matched": [], "registered": [],
+                        "disappeared_incremented": [], "deregistered": [], "correlated": []}
+        assert all(line.startswith(f'{{"frame": {k}, ') for k, line in enumerate(lines))
 
     def test_far_frame_index_does_not_walk_every_index(self, tmp_path):
         dets = tmp_path / "d.jsonl"
@@ -724,6 +813,29 @@ class TestBadNumbersAreDataErrors:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert f"--thresholds: {complaint}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "threshold, complaint",
+        [("nan", "--threshold must be finite, got nan"),
+         ("2", "--threshold must be in [0, 1], got 2.0")],
+        ids=["nan", "above-one"],
+    )
+    def test_eval_threshold_flag(self, capsys, files, threshold, complaint):
+        code = main([
+            "eval", "--detections", files[0], "--groundtruth", files[1], "--threshold", threshold,
+        ])
+        assert code == 2
+        assert f"cctrack: error: {complaint}" in self.one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "command", [["eval", "--threshold", "0.5"], ["sweep"]], ids=["eval", "sweep"]
+    )
+    def test_negative_frame_count_flag(self, capsys, files, command):
+        code = main([
+            *command, "--detections", files[0], "--groundtruth", files[1], "--frame-count", "-3",
+        ])
+        assert code == 2
+        assert "--frame-count must be non-negative, got -3" in self.one_line_error(capsys)
 
     @pytest.mark.parametrize(
         "iou, complaint",

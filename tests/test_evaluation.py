@@ -290,11 +290,11 @@ class TestThresholdSweep:
         with pytest.raises(ValueError, match="empty"):
             threshold_sweep([], [], [])
 
-    def test_out_of_open_interval_rejected(self):
-        with pytest.raises(ValueError, match="strictly inside"):
-            threshold_sweep([], [], [0.0, 0.5])
-        with pytest.raises(ValueError, match="strictly inside"):
-            threshold_sweep([], [], [0.5, 1.0])
+    def test_closed_interval_accepted(self):
+        # Each threshold is checked once, by evaluate_at, against [0, 1].
+        assert [r.threshold for r in threshold_sweep([], [], [0.0, 1.0])] == [0.0, 1.0]
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 1.5"):
+            threshold_sweep([], [], [0.5, 1.5])
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):

@@ -160,6 +160,13 @@ class TestGroundTruthCsv:
         with pytest.raises(FormatError, match="invalid box"):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize("bad_row", ["1,0,5,5,1,1", '"1\n",0,5,5,1,1'], ids=["plain", "quoted"])
+    def test_rows_after_a_quoted_newline_cite_the_line_they_start_on(self, tmp_path, bad_row):
+        path = tmp_path / "gt.csv"
+        path.write_text(f'frame,object_id,x1,y1,x2,y2\n"0\n",0,1,2,3,4\n{bad_row}\n')
+        with pytest.raises(FormatError, match=r"gt\.csv:4: invalid box"):
+            read_ground_truth(path)
+
     def test_invalid_utf8_names_the_line(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_bytes(b"frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n0,1,0,0,5,\xc35\n")
