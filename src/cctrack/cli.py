@@ -15,12 +15,18 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import io, scenario, selfcheck
+from . import io
 from .evaluation import group_by_frame, threshold_sweep
 from .geometry import config_from_fields, require_fraction, require_number
 from .priorbox import default_layer_specs, prior_box_count
-from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
+
+# Each command imports scenario, selfcheck or tracker itself, so numpy is
+# loaded only where there are pixels: by synth, track --frames and convcheck.
+if TYPE_CHECKING:
+    from .scenario import ScenarioConfig
+    from .tracker import FrameUpdate
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -100,7 +106,7 @@ def _frame_update_json(update: FrameUpdate) -> str:
 
 
 @contextlib.contextmanager
-def _frames_fit(source: str, cfg: scenario.ScenarioConfig):
+def _frames_fit(source: str, cfg: ScenarioConfig):
     """Turn a MemoryError raised in the block into a FormatError naming image_size."""
     try:
         yield
@@ -110,6 +116,8 @@ def _frames_fit(source: str, cfg: scenario.ScenarioConfig):
 
 
 def _cmd_synth(args) -> int:
+    from . import scenario
+
     with _errors_name(args.config):
         config_data = _load_json_config(args.config)
         render = config_data.pop("render_frames", True)
@@ -148,6 +156,8 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_track(args) -> int:
+    from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
+
     detections = io.read_detections(args.detections)
     frames = io.read_frames(args.frames) if args.frames else iter(())
     with _errors_name(args.config):
@@ -261,6 +271,8 @@ def _cmd_priorboxes(args) -> int:
 def _cmd_convcheck(args) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be non-negative, got {args.seed}")
+    from . import selfcheck
+
     results = selfcheck.run_all(seed=args.seed)
     failed = 0
     for result in results:

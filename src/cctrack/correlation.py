@@ -18,10 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .geometry import BoundingBox
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # NCC scores within this of the max tie for the peak; ties resolve to the
 # smallest displacement so a static scene never drifts.
@@ -96,6 +98,8 @@ def _exact_in_int64(template: np.ndarray, search: np.ndarray) -> bool:
 
 def _window_sums(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Sum of every shape-sized window of values, from one integral image."""
+    import numpy as np
+
     h, w = shape
     integral = np.zeros((values.shape[0] + 1, values.shape[1] + 1), dtype=values.dtype)
     np.cumsum(values, axis=0, out=integral[1:, 1:])
@@ -105,6 +109,8 @@ def _window_sums(values: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 def _window_cross(search: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Sum of window * template for every placement, by one rfft2 product."""
+    import numpy as np
+
     (h, w), (th, tw) = search.shape, template.shape
     shape = (_fast_len(h), _fast_len(w))
     # Both zero-padded to fast lengths and transformed in one call.
@@ -130,6 +136,8 @@ def correlate_track(
     with the degenerate flag set. Raises ValueError if bbox falls outside
     the previous frame or the frames disagree in shape.
     """
+    import numpy as np
+
     prev = np.asarray(prev_frame)
     cur = np.asarray(cur_frame)
     if prev.ndim != 2 or cur.ndim != 2:

@@ -240,12 +240,18 @@ def threshold_sweep(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     frame_count: Optional[int] = None,
 ) -> list[MetricsReport]:
-    """Evaluate the sequence once per threshold, strictly increasing in [0, 1]."""
+    """Evaluate the sequence once per threshold, strictly increasing in [0, 1].
+
+    Every threshold is checked before the first one is evaluated.
+    """
     if len(thresholds) == 0:
         raise ValueError("threshold list must not be empty")
-    for a, b in zip(thresholds, thresholds[1:]):
-        if not a < b:
-            raise ValueError(f"thresholds must be strictly increasing, got {a} then {b}")
+    for i, threshold in enumerate(thresholds):
+        require_fraction("threshold", threshold)
+        if i and not thresholds[i - 1] < threshold:
+            raise ValueError(
+                f"thresholds must be strictly increasing, got {thresholds[i - 1]} then {threshold}"
+            )
     if frame_count is None:
         frame_count = _infer_frame_count(detections, ground_truth)
     return [

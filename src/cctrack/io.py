@@ -14,12 +14,13 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 from .evaluation import GroundTruthRecord
 from .geometry import BoundingBox, Detection, require_number
+
+if TYPE_CHECKING:
+    import numpy as np
 
 PathLike = Union[str, Path]
 
@@ -200,6 +201,8 @@ def write_ground_truth(path: PathLike, records: Iterable[GroundTruthRecord]) -> 
 
 def write_pgm(path: PathLike, frame: np.ndarray) -> None:
     """Write one grayscale frame as binary (P5) PGM, maxval 255."""
+    import numpy as np
+
     frame = np.asarray(frame)
     if frame.ndim != 2:
         raise ValueError(f"frame must be 2D, got shape {frame.shape}")
@@ -246,6 +249,8 @@ def read_pgm(path: PathLike) -> np.ndarray:
     copying the raster out took about 1 ms a frame against 0.34 ms, mostly
     in page faults on the fresh buffer (2-vCPU VM).
     """
+    import numpy as np
+
     with open(path, "rb") as handle:
         blob = handle.read(_PGM_HEADER_PEEK)
         tokens, pos = _pgm_header(blob)

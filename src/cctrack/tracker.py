@@ -26,14 +26,15 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from .correlation import correlate_track
 from .geometry import (
     BoundingBox, Detection, Point, centroid, euclidean, require_fields, require_fraction
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -233,6 +234,8 @@ class CentroidCorrelationTracker:
             update = self._correlation_update(frame_index, frame)
 
         if frame is not None:
+            import numpy as np
+
             self._prev_frame = np.array(frame, copy=True)
         return update
 

@@ -142,12 +142,12 @@ class TestExitCodes:
         assert "PASS" in out and "FAIL" not in out
 
     def test_convcheck_failure_exits_three(self, capsys, monkeypatch):
-        from cctrack import cli, selfcheck
+        from cctrack import selfcheck
 
         def broken(seed=0):
             return [selfcheck.CheckResult("planted failure", False, "for the exit-code test")]
 
-        monkeypatch.setattr(cli.selfcheck, "run_all", broken)
+        monkeypatch.setattr(selfcheck, "run_all", broken)
         assert main(["convcheck"]) == 3
         assert "FAIL planted failure" in capsys.readouterr().out
 
@@ -744,12 +744,12 @@ class TestBadNumbersAreDataErrors:
         assert err.startswith(f"cctrack: error: {where}: ") and "beyond 2**53 in magnitude" in err
 
     def test_frames_that_do_not_fit_in_memory(self, tmp_path, capsys, monkeypatch):
-        from cctrack import cli
+        from cctrack import scenario
 
-        def out_of_memory(scenario):
+        def out_of_memory(scn):
             raise MemoryError()
 
-        monkeypatch.setattr(cli.scenario, "render_frames", out_of_memory)
+        monkeypatch.setattr(scenario, "render_frames", out_of_memory)
         config = write_config(tmp_path, "big.json", {
             "image_size": [100000, 100000], "frame_count": 1, "num_people": 0,
         })
@@ -765,15 +765,15 @@ class TestBadNumbersAreDataErrors:
         self, tmp_path, capsys, monkeypatch, frames_that_fit
     ):
         # The call to render_frames succeeds; a frame it yields fails.
-        from cctrack import cli
+        from cctrack import scenario
 
-        render = cli.scenario.render_frames
+        render = scenario.render_frames
 
-        def out_of_memory_after(scenario):
-            yield from itertools.islice(render(scenario), frames_that_fit)
+        def out_of_memory_after(scn):
+            yield from itertools.islice(render(scn), frames_that_fit)
             raise MemoryError()
 
-        monkeypatch.setattr(cli.scenario, "render_frames", out_of_memory_after)
+        monkeypatch.setattr(scenario, "render_frames", out_of_memory_after)
         config = write_config(tmp_path, "big.json", {"frame_count": 3, "num_people": 0})
         assert main(["synth", "--config", config, "--out-dir", str(tmp_path / "x")]) == 2
         assert f"{config}: image_size 640x480 frames do not fit" in self.one_line_error(capsys)

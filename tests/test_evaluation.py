@@ -291,10 +291,20 @@ class TestThresholdSweep:
             threshold_sweep([], [], [])
 
     def test_closed_interval_accepted(self):
-        # Each threshold is checked once, by evaluate_at, against [0, 1].
+        # Each threshold is checked against [0, 1].
         assert [r.threshold for r in threshold_sweep([], [], [0.0, 1.0])] == [0.0, 1.0]
         with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 1.5"):
             threshold_sweep([], [], [0.5, 1.5])
+
+    def test_every_threshold_is_checked_before_any_evaluation(self, monkeypatch):
+        def evaluate_at(*args, **kwargs):
+            raise AssertionError("evaluate_at called before every threshold was checked")
+
+        monkeypatch.setattr(evaluation, "evaluate_at", evaluate_at)
+        with pytest.raises(ValueError, match=r"threshold must be in \[0, 1\], got 1.5"):
+            threshold_sweep([], [], [0.1, 1.5])
+        with pytest.raises(ValueError, match="increasing"):
+            threshold_sweep([], [], [0.1, 0.9, 0.5])
 
     def test_non_increasing_rejected(self):
         with pytest.raises(ValueError, match="increasing"):
