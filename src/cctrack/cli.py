@@ -67,7 +67,15 @@ def parse_threshold_range(text: str) -> list[float]:
     if end < start - 1e-9:
         raise ValueError(f"threshold range end {end} precedes start {start}")
     count = int(math.floor((end - start) / step + 1e-9)) + 1
-    return [round(start + i * step, 9) for i in range(count)]
+    # Off the 1e-9 grid, two steps can round to one value, which is kept once.
+    # The endpoint tolerance can carry the last step past end: it stops there.
+    last = round(end, 9)
+    thresholds: list[float] = []
+    for i in range(count):
+        threshold = min(round(start + i * step, 9), last)
+        if not thresholds or threshold != thresholds[-1]:
+            thresholds.append(threshold)
+    return thresholds
 
 
 def _load_json_config(path: str) -> dict:

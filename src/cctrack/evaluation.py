@@ -10,7 +10,9 @@ frame-level counts; this is deliberate and documented.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .geometry import BoundingBox, Detection, require_fraction
@@ -194,8 +196,8 @@ def group_by_frame(records) -> dict[int, list]:
 
 
 def _infer_frame_count(detections, ground_truth) -> int:
-    frames = [d.frame_index for d in detections] + [g.frame_index for g in ground_truth]
-    return max(frames) + 1 if frames else 0
+    frames = chain((d.frame_index for d in detections), (g.frame_index for g in ground_truth))
+    return max(frames, default=-1) + 1
 
 
 def evaluate_at(
@@ -240,9 +242,13 @@ def threshold_sweep(
     iou_threshold: float = DEFAULT_IOU_THRESHOLD,
     frame_count: Optional[int] = None,
 ) -> list[MetricsReport]:
-    """Evaluate the sequence once per threshold, strictly increasing in [0, 1].
+    """One report per threshold, which must be strictly increasing in [0, 1].
 
-    Every threshold is checked before the first one is evaluated.
+    Every threshold is checked before the first one is evaluated. The kept
+    sets (confidence >= threshold) are nested, so a threshold that keeps as
+    many detections as the one before it keeps the same set: its report is
+    the previous one under the new threshold. The cost is one evaluate_at
+    per distinct kept set, and the first threshold is always evaluated.
     """
     if len(thresholds) == 0:
         raise ValueError("threshold list must not be empty")
@@ -254,7 +260,14 @@ def threshold_sweep(
             )
     if frame_count is None:
         frame_count = _infer_frame_count(detections, ground_truth)
-    return [
-        evaluate_at(detections, ground_truth, t, iou_threshold, frame_count)
-        for t in thresholds
-    ]
+    confidences = sorted(d.confidence for d in detections)
+    reports: list[MetricsReport] = []
+    previous_kept = -1
+    for t in thresholds:
+        kept = len(confidences) - bisect_left(confidences, t)
+        if kept == previous_kept:
+            reports.append(replace(reports[-1], threshold=t))
+        else:
+            reports.append(evaluate_at(detections, ground_truth, t, iou_threshold, frame_count))
+        previous_kept = kept
+    return reports

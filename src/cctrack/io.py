@@ -146,6 +146,10 @@ def _csv_rows(handle, path: PathLike):
         _fail(path, reader.line_num, f"malformed CSV: {exc}")
 
 
+_NOT_INTEGERS = "fields 'frame' and 'object_id' must be integers"
+_NOT_NUMBERS = "box coordinates must be numbers"
+
+
 def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
     """Parse and validate a ground-truth CSV ((frame, object_id) unique)."""
     records: list[GroundTruthRecord] = []
@@ -164,11 +168,17 @@ def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
                 frame = int(row[0])
                 object_id = int(row[1])
             except ValueError:
-                _fail(path, line_no, "fields 'frame' and 'object_id' must be integers")
+                _fail(path, line_no, _NOT_INTEGERS)
             try:
-                coords = [float(v) for v in row[2:]]
+                coords = list(map(float, row[2:]))
             except ValueError:
-                _fail(path, line_no, "box coordinates must be numbers")
+                _fail(path, line_no, _NOT_NUMBERS)
+            # int() and float() also take underscores ('1_0' is 10) and non-ASCII digits.
+            text = "".join(row)
+            if "_" in text or not text.isascii():
+                ids = row[0] + row[1]
+                bad_ids = "_" in ids or not ids.isascii()
+                _fail(path, line_no, _NOT_INTEGERS if bad_ids else _NOT_NUMBERS)
             if frame < 0 or object_id < 0:
                 _fail(path, line_no, "'frame' and 'object_id' must be non-negative")
             key = (frame, object_id)

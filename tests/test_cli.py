@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cctrack.cli import _frame_update_json, main, parse_threshold_range
 from cctrack.evaluation import group_by_frame
@@ -86,6 +88,45 @@ class TestThresholdRange:
         for bad in ("0.5", "a:b:c", "0.1:0.9:0", "0.9:0.1:0.1"):
             with pytest.raises(ValueError):
                 parse_threshold_range(bad)
+
+    def test_off_grid_start_keeps_each_rounded_threshold_once(self, tmp_path, capsys):
+        # 0.1000000005 + i * 1e-9 can round to the same 9-decimal value twice.
+        text = "0.1000000005:0.10000005:0.000000001"
+        thresholds = parse_threshold_range(text)
+        assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        gt = tmp_path / "gt.csv"
+        gt.write_text("frame,object_id,x1,y1,x2,y2\n0,0,0,0,5,5\n")
+        code = main(["sweep", "--detections", str(dets), "--groundtruth", str(gt),
+                     "--thresholds", text])
+        assert code == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(row.split(",")[0]) for row in rows] == thresholds
+
+    def test_last_step_within_tolerance_stops_at_end(self):
+        # 1.0000000009 rounds to 1.000000001, past the [0, 1] a sweep takes.
+        assert parse_threshold_range("0:1:1.0000000009") == [0.0, 1.0]
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        # Half-way between grid points, rounding is decided by float error.
+        start=st.one_of(st.floats(0, 1), st.integers(0, 10**9 - 1).map(lambda k: (k + 0.5) / 1e9)),
+        step=st.one_of(st.just(1e-9), st.floats(1e-9, 3e-9), st.floats(1e-9, 1.5)),
+        steps=st.integers(0, 300),
+        # end falls short of the last step by up to the 1e-9 tolerance, or not.
+        shortfall=st.sampled_from([0.0, 5e-10, 1e-9, -1e-9]),
+    )
+    @example(start=0.1000000005, step=1e-9, steps=49, shortfall=0.0)
+    @example(start=0.0, step=1.0000000009, steps=1, shortfall=1e-9)
+    def test_every_accepted_range_is_strictly_increasing_in_the_unit_interval(
+        self, start, step, steps, shortfall
+    ):
+        end = min(max(start + steps * step * (1 - shortfall), start), 1.0)
+        thresholds = parse_threshold_range(f"{start!r}:{end!r}:{step!r}")
+        assert thresholds
+        assert all(a < b for a, b in zip(thresholds, thresholds[1:]))
+        assert 0.0 <= thresholds[0] and thresholds[-1] <= 1.0
 
 
 class TestExitCodes:

@@ -1,7 +1,7 @@
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cctrack import evaluation
@@ -373,3 +373,70 @@ class TestThresholdSweep:
         for threshold, row in zip(NINE_THRESHOLDS, reports):
             single = evaluate_at(detections, truth, threshold, frame_count=frame_count)
             assert single == row
+
+
+# Few scores, so ties and thresholds that keep one set both occur.
+_SCORES = st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.5000001, 0.9, 1.0])
+
+
+@st.composite
+def _sweep_inputs(draw):
+    detections = draw(st.lists(
+        st.builds(
+            det,
+            st.integers(0, 5),
+            st.integers(0, 20),
+            st.integers(0, 20),
+            st.integers(20, 30),
+            st.integers(20, 30),
+            _SCORES,
+        ),
+        max_size=12,
+    ))
+    truth = [
+        gt(frame, x, y, x + 10, y + 10, object_id)
+        for object_id, (frame, x, y) in enumerate(draw(st.lists(
+            st.tuples(st.integers(0, 5), st.integers(0, 20), st.integers(0, 20)), max_size=8,
+        )))
+    ]
+    # Thresholds equal to a score, between scores, and above every score.
+    candidates = st.one_of(_SCORES, st.floats(0, 1))
+    thresholds = sorted(draw(st.sets(candidates, min_size=1, max_size=9)))
+    return detections, truth, thresholds
+
+
+class TestSweepSharesRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_sweep_inputs(), st.sampled_from([None, 8]))
+    @example(([], [], [0.0, 0.5, 1.0]), None)
+    @example(([det(0, 0, 0, 10, 10, 0.3)], [gt(1, 0, 0, 10, 10)], [0.0, 0.3, 0.5, 1.0]), None)
+    def test_rows_equal_one_evaluation_per_threshold(self, inputs, frame_count):
+        detections, truth, thresholds = inputs
+        assert threshold_sweep(detections, truth, thresholds, frame_count=frame_count) == [
+            evaluate_at(detections, truth, t, frame_count=frame_count) for t in thresholds
+        ]
+
+    @pytest.mark.parametrize(
+        "scores, thresholds, evaluated",
+        [
+            ([1.0] * 6, NINE_THRESHOLDS, [0.1]),
+            ([0.35, 0.35, 0.8], NINE_THRESHOLDS, [0.1, 0.4, 0.9]),
+            ([0.5], [0.4, 0.5, 0.6], [0.4, 0.6]),
+            ([], NINE_THRESHOLDS, [0.1]),
+        ],
+        ids=["all-one", "two-steps", "threshold-equal-to-a-score", "no-detections"],
+    )
+    def test_one_evaluation_per_distinct_kept_set(self, monkeypatch, scores, thresholds, evaluated):
+        calls = []
+        original = evaluation.evaluate_at
+
+        def spy(detections, ground_truth, threshold, *args):
+            calls.append(threshold)
+            return original(detections, ground_truth, threshold, *args)
+
+        monkeypatch.setattr(evaluation, "evaluate_at", spy)
+        detections = [det(f, 0, 0, 10, 10, score) for f, score in enumerate(scores)]
+        truth = [gt(f, 0, 0, 10, 10) for f in range(len(scores))]
+        reports = threshold_sweep(detections, truth, thresholds)
+        assert calls == evaluated
+        assert [r.threshold for r in reports] == list(thresholds)

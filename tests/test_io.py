@@ -154,6 +154,32 @@ class TestGroundTruthCsv:
         with pytest.raises(FormatError, match=r"gt\.csv:2"):
             read_ground_truth(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1_0,0,0,0,5,5", "fields 'frame' and 'object_id' must be integers"),
+            ("0,1_0,0,0,5,5", "fields 'frame' and 'object_id' must be integers"),
+            ("\u0663,0,0,0,5,5", "fields 'frame' and 'object_id' must be integers"),
+            ("0,0,1_0.5,0,15,5", "box coordinates must be numbers"),
+            ("0,0,0,0,5,\u0665", "box coordinates must be numbers"),
+            ("0,0,0,0,5,\uff15", "box coordinates must be numbers"),
+        ],
+        ids=["underscore-frame", "underscore-id", "arabic-indic-frame", "underscore-coord",
+             "arabic-indic-coord", "fullwidth-coord"],
+    )
+    def test_underscored_and_non_ascii_numbers_rejected(self, tmp_path, row, message):
+        # int('1_0') is 10, float('1_0.5') is 10.5 and int('\u0663') is 3.
+        path = tmp_path / "gt.csv"
+        path.write_text(f"frame,object_id,x1,y1,x2,y2\n0,1,0,0,5,5\n{row}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=rf"gt\.csv:3: {message}$"):
+            read_ground_truth(path)
+
+    def test_first_bad_field_names_the_error(self, tmp_path):
+        path = tmp_path / "gt.csv"
+        path.write_text("frame,object_id,x1,y1,x2,y2\nx,0,1_0,0,5,5\n")
+        with pytest.raises(FormatError, match="must be integers"):
+            read_ground_truth(path)
+
     def test_inverted_box_rejected(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("frame,object_id,x1,y1,x2,y2\n0,0,9,0,5,5\n")
