@@ -7,7 +7,6 @@ Exit codes: 0 success, 1 usage error, 2 data/validation error,
 from __future__ import annotations
 
 import argparse
-import bisect
 import contextlib
 import dataclasses
 import itertools
@@ -18,7 +17,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import io
-from .evaluation import group_by_frame, threshold_sweep
+from .evaluation import threshold_sweep
 from .geometry import config_from_fields, require_fraction, require_number
 from .priorbox import default_layer_specs, prior_box_count
 
@@ -33,6 +32,9 @@ DATA_ERROR = 2
 CHECK_FAILURE = 3
 
 SWEEP_COLUMNS = ["threshold", "tp", "fp", "fn", "tn", "precision", "recall", "accuracy"]
+
+# The thresholds a range may expand to: a 1e-5 step across [0, 1].
+MAX_THRESHOLDS = 100_001
 
 
 class _Parser(argparse.ArgumentParser):
@@ -51,7 +53,8 @@ def parse_threshold_range(text: str) -> list[float]:
     """Expand start:end:step into an inclusive list (1e-9 endpoint tolerance).
 
     start and end must be finite numbers in [0, 1], and step at least the
-    1e-9 quantum the thresholds are rounded to.
+    1e-9 quantum the thresholds are rounded to. A range of more than
+    MAX_THRESHOLDS thresholds is rejected before any is built.
     """
     parts = text.split(":")
     if len(parts) != 3:
@@ -67,6 +70,8 @@ def parse_threshold_range(text: str) -> list[float]:
     if end < start - 1e-9:
         raise ValueError(f"threshold range end {end} precedes start {start}")
     count = int(math.floor((end - start) / step + 1e-9)) + 1
+    if count > MAX_THRESHOLDS:
+        raise ValueError(f"threshold range expands to {count} thresholds, more than {MAX_THRESHOLDS}")
     # Off the 1e-9 grid, two steps can round to one value, which is kept once.
     # The endpoint tolerance can carry the last step past end: it stops there.
     last = round(end, 9)
@@ -171,9 +176,7 @@ def _cmd_track(args) -> int:
     with _errors_name(args.config):
         config = config_from_fields(TrackerConfig, _load_json_config(args.config))
 
-    by_frame = group_by_frame(detections)
-    detection_frames = sorted(by_frame)
-    last_detection = detection_frames[-1] if detection_frames else -1
+    last_detection = detections[-1].frame_index if detections else -1
     if last_detection < 0 and not args.frames:
         raise io.FormatError(f"{args.detections}: no frames to track (empty input)")
 
@@ -183,6 +186,10 @@ def _cmd_track(args) -> int:
     rows = []
     live = 0
     frame_index = 0
+    # The reader keeps detections in frame order, so one cursor walks them:
+    # detections[cursor:] are those of frame_index and later, and the slots
+    # before it are None, so that tracked detections are freed.
+    cursor = 0
     try:
         # Frames are read as the loop reaches them. It runs until both the
         # frames and the detections are used up, and frame_index ends at
@@ -196,14 +203,20 @@ def _cmd_track(args) -> int:
                     # With no live track and no pixels, an update without
                     # detections only counts the call and traces empty lists.
                     # Skipping whole intervals keeps the schedule's phase.
-                    upcoming = detection_frames[bisect.bisect_left(detection_frames, frame_index)]
+                    upcoming = detections[cursor].frame_index
                     skip_to = frame_index + (upcoming - frame_index) // interval * interval
                     if trace_handle:
                         for skipped in range(frame_index, skip_to):
                             trace_handle.write(_frame_update_json(FrameUpdate(skipped)) + "\n")
                     frame_index = skip_to
-            scheduled = by_frame.get(frame_index, ()) if tracker.detects_next else ()
+            end = cursor
+            while end < len(detections) and detections[end].frame_index == frame_index:
+                end += 1
+            scheduled = detections[cursor:end] if tracker.detects_next else ()
             update = tracker.update(frame_index, scheduled, pixels)
+            for slot in range(cursor, end):
+                detections[slot] = None
+            cursor = end
             live += len(update.registered) - len(update.deregistered)
             if trace_handle:
                 trace_handle.write(_frame_update_json(update) + "\n")

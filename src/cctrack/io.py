@@ -13,6 +13,7 @@ import csv
 import json
 import os
 import re
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
@@ -127,9 +128,9 @@ def detection_record(det: Detection) -> dict:
 
 def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
     """Write detections as JSONL, sorted by frame with input order preserved."""
-    records = sorted(enumerate(detections), key=lambda pair: (pair[1].frame_index, pair[0]))
+    records = sorted(detections, key=attrgetter("frame_index"))  # stable: ties keep input order
     with open(path, "w", encoding="utf-8") as handle:
-        for _, det in records:
+        for det in records:
             handle.write(json.dumps(detection_record(det)))
             handle.write("\n")
 
@@ -324,8 +325,19 @@ def write_frames(directory: PathLike, frames: Iterable[np.ndarray]) -> list[Path
     return paths
 
 
+def _frame_order(path: Path) -> tuple[list, str]:
+    """Sort key of a frame file: its name, with each run of digits compared as a number.
+
+    So frame_1000000.pgm follows frame_999999.pgm, as the writer numbered
+    them. Names that differ only in leading zeros keep name order.
+    """
+    parts: list = re.split(r"([0-9]+)", path.name)
+    parts[1::2] = map(int, parts[1::2])
+    return parts, path.name
+
+
 def read_frames(directory: PathLike) -> Iterator[np.ndarray]:
-    """Frames 0..n-1 from the *.pgm files of a directory, sorted by name.
+    """Frames 0..n-1 from the *.pgm files of a directory, in _frame_order.
 
     The directory is checked at the call: it must hold at least one frame.
     The frames are read one at a time, as the iterator reaches them, and
@@ -334,7 +346,7 @@ def read_frames(directory: PathLike) -> Iterator[np.ndarray]:
     directory = Path(directory)
     if not directory.is_dir():
         raise FormatError(f"{directory}: not a directory")
-    paths = sorted(directory.glob("*.pgm"))
+    paths = sorted(directory.glob("*.pgm"), key=_frame_order)
     if not paths:
         raise FormatError(f"{directory}: no *.pgm frames")
     return _read_each(paths)

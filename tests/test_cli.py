@@ -5,11 +5,12 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from cctrack.cli import _frame_update_json, main, parse_threshold_range
@@ -107,6 +108,21 @@ class TestThresholdRange:
     def test_last_step_within_tolerance_stops_at_end(self):
         # 1.0000000009 rounds to 1.000000001, past the [0, 1] a sweep takes.
         assert parse_threshold_range("0:1:1.0000000009") == [0.0, 1.0]
+
+    def test_a_1e_5_step_across_the_unit_interval_is_the_largest_range(self):
+        assert len(parse_threshold_range("0:1:0.00001")) == 100_001
+        with pytest.raises(ValueError, match="expands to 101011 thresholds, more than 100001"):
+            parse_threshold_range("0:1:0.0000099")
+
+    def test_too_many_thresholds_are_rejected_before_any_is_built(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="expands to 1000000000 thresholds"):
+                parse_threshold_range("0:1:1e-9")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
     @settings(max_examples=500, deadline=None)
     @given(
@@ -622,6 +638,37 @@ class TestTrack:
                 tmp_path, capsys, dets, {"detection_interval": interval, "max_disappearance": 2}
             )
 
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        lead=st.integers(0, 12),
+        # (gap to the previous detection frame, x of each box on the frame)
+        groups=st.lists(
+            st.tuples(st.integers(1, 30), st.lists(st.integers(0, 120), min_size=1, max_size=4)),
+            min_size=1, max_size=12,
+        ),
+        interval=st.integers(1, 4),
+        max_disappearance=st.integers(1, 4),
+    )
+    def test_sparse_streams_match_the_full_walk(
+        self, tmp_path, capsys, lead, groups, interval, max_disappearance
+    ):
+        # Several boxes a frame, detection frames that fall on correlation-scheduled
+        # updates, and gaps before the first frame and between any two; the
+        # cursor that frees each frame's detections must hand update the same ones.
+        dets = tmp_path / "sparse.jsonl"
+        frame, lines = lead, []
+        for gap, xs in groups:
+            lines += [json.dumps({"frame": frame, "bbox": [x, 10, x + 8, 18], "score": 0.9,
+                                  "class": 0}) for x in xs]
+            frame += gap
+        dets.write_text("\n".join(lines) + "\n")
+        assert_track_is_the_full_walk(
+            tmp_path, capsys, dets,
+            {"detection_interval": interval, "max_disappearance": max_disappearance,
+             "max_distance": 20},
+        )
+
     @pytest.mark.parametrize("interval", [1, 3])
     def test_traced_idle_gap_is_not_updated_index_by_index(
         self, tmp_path, capsys, monkeypatch, interval
@@ -843,6 +890,7 @@ class TestBadNumbersAreDataErrors:
         [
             ("0.1:inf:0.1", "threshold range end must be finite, got inf"),
             ("0.1:0.9:1e-300", "threshold step must be at least 1e-9"),
+            ("0:1:1e-9", "threshold range expands to 1000000000 thresholds, more than 100001"),
         ],
     )
     def test_sweep_thresholds_flag(self, capsys, files, thresholds, complaint):

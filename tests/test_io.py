@@ -122,6 +122,12 @@ class TestDetectionsJsonl:
         write_detections(b, records)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_writer_sorts_by_frame_with_ties_in_input_order(self, tmp_path):
+        records = [det(2, 0, 0, 5, 5), det(0, 1, 1, 6, 6), det(2, 2, 2, 7, 7), det(0, 3, 3, 8, 8)]
+        path = tmp_path / "d.jsonl"
+        write_detections(path, iter(records))
+        assert read_detections(path) == [records[1], records[3], records[0], records[2]]
+
 
 class TestGroundTruthCsv:
     def test_round_trip_preserves_values(self, tmp_path):
@@ -292,6 +298,27 @@ class TestPgm:
         loaded = list(read_frames(tmp_path / "frames"))
         assert len(loaded) == 4
         assert all(np.array_equal(a, b) for a, b in zip(frames, loaded))
+
+    def test_frame_one_million_follows_frame_999999(self, tmp_path):
+        # Past six digits the writer's names are longer, and sort before by name.
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        write_pgm(frames / "frame_999999.pgm", np.full((4, 4), 1, dtype=np.uint8))
+        write_pgm(frames / "frame_1000000.pgm", np.full((4, 4), 2, dtype=np.uint8))
+        assert [int(frame[0, 0]) for frame in read_frames(frames)] == [1, 2]
+
+    @pytest.mark.parametrize("names", [
+        ["a.pgm", "frame_000009.pgm", "frame_000010.pgm", "frame_099999.pgm",
+         "frame_100000.pgm", "frame_999999.pgm", "z.pgm"],
+        # Numbers equal but for leading zeros.
+        ["frame_01.pgm", "frame_1.pgm"],
+    ])
+    def test_frames_keep_name_order_below_one_million(self, tmp_path, names):
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for value, name in reversed(list(enumerate(names))):
+            write_pgm(frames / name, np.full((2, 2), value, dtype=np.uint8))
+        assert [int(frame[0, 0]) for frame in read_frames(frames)] == list(range(len(names)))
 
     def test_frames_of_another_shape_rejected(self, tmp_path, rng):
         frames = [rng.integers(0, 256, size=(12, 16)).astype(np.uint8) for _ in range(3)]

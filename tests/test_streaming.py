@@ -1,8 +1,10 @@
-"""Frames stream through synth and track, so memory does not grow with the frame count."""
+"""Frames stream through synth and track, and track frees each frame's detections once tracked."""
 
 import json
 import tracemalloc
 from collections.abc import Iterator
+
+import pytest
 
 from cctrack import io, scenario
 from cctrack.cli import main
@@ -52,6 +54,35 @@ class TestBoundedMemory:
         for step, few, many in zip(("synth", "track"), short, long):
             assert few > FRAME_BYTES, (step, few)
             assert many - few < 2 * FRAME_BYTES, (step, few, many)
+
+    @pytest.mark.parametrize("frame_count", [2000, 8000])
+    def test_track_frees_each_frames_detections(self, tmp_path, capsys, frame_count):
+        # Holding every detection as well as the tracker's history and the
+        # trajectory rows peaks at about twice the parsed list; freeing each
+        # frame's detections after its update lets those reuse the memory.
+        work = tmp_path / "noiseless"
+        work.mkdir()
+        (work / "scenario.json").write_text(json.dumps({
+            "preset": "noiseless", "frame_count": frame_count, "render_frames": False,
+        }))
+        (work / "tracker.json").write_text("{}")
+        assert main(["synth", "--config", str(work / "scenario.json"), "--out-dir", str(work)]) == 0
+        detections = work / "detections.jsonl"
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            parsed = io.read_detections(detections)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(parsed) == 3 * frame_count
+        del parsed
+        peak = _peak_bytes([
+            "track", "--detections", str(detections), "--config", str(work / "tracker.json"),
+            "--out", str(work / "trajectories.csv"),
+        ])
+        capsys.readouterr()
+        assert peak < 1.35 * retained, (peak, retained)
 
     def test_frame_functions_return_iterators(self, tmp_path):
         cfg = scenario.ScenarioConfig(num_people=1, frame_count=3, image_size=(32, 24),
