@@ -44,11 +44,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
 
 
-def _fmt(value) -> str:
-    """Canonical text form: repr for floats (shortest round-trip), str otherwise."""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def parse_threshold_range(text: str) -> list[float]:
     """Expand start:end:step into an inclusive list (1e-9 endpoint tolerance).
 
@@ -171,6 +166,10 @@ def _cmd_synth(args) -> int:
 def _cmd_track(args) -> int:
     from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
+    # --out is written only on success: its directory is checked before any work.
+    out_dir = Path(args.out).parent
+    if not out_dir.is_dir():
+        raise ValueError(f"--out: {out_dir} is not a directory")
     detections = io.read_detections(args.detections)
     frames = io.read_frames(args.frames) if args.frames else iter(())
     with _errors_name(args.config):
@@ -182,15 +181,14 @@ def _cmd_track(args) -> int:
 
     tracker = CentroidCorrelationTracker(config)
     interval = config.detection_interval
-    trace_handle = open(args.trace, "w", encoding="utf-8") if args.trace else None
     rows = []
     live = 0
     frame_index = 0
-    # The reader keeps detections in frame order, so one cursor walks them:
-    # detections[cursor:] are those of frame_index and later, and the slots
-    # before it are None, so that tracked detections are freed.
-    cursor = 0
-    try:
+    # The reader keeps detections in frame order, so reversed, each frame's
+    # group comes off the end, and tracked detections are freed.
+    detections.reverse()
+    trace_file = open(args.trace, "w", encoding="utf-8") if args.trace else contextlib.nullcontext()
+    with trace_file as trace:
         # Frames are read as the loop reaches them. It runs until both the
         # frames and the detections are used up, and frame_index ends at
         # the number of frames tracked.
@@ -203,35 +201,28 @@ def _cmd_track(args) -> int:
                     # With no live track and no pixels, an update without
                     # detections only counts the call and traces empty lists.
                     # Skipping whole intervals keeps the schedule's phase.
-                    upcoming = detections[cursor].frame_index
+                    upcoming = detections[-1].frame_index
                     skip_to = frame_index + (upcoming - frame_index) // interval * interval
-                    if trace_handle:
+                    if trace:
                         for skipped in range(frame_index, skip_to):
-                            trace_handle.write(_frame_update_json(FrameUpdate(skipped)) + "\n")
+                            trace.write(_frame_update_json(FrameUpdate(skipped)) + "\n")
                     frame_index = skip_to
-            end = cursor
-            while end < len(detections) and detections[end].frame_index == frame_index:
-                end += 1
-            scheduled = detections[cursor:end] if tracker.detects_next else ()
-            update = tracker.update(frame_index, scheduled, pixels)
-            for slot in range(cursor, end):
-                detections[slot] = None
-            cursor = end
+            group = []
+            while detections and detections[-1].frame_index == frame_index:
+                group.append(detections.pop())
+            update = tracker.update(frame_index, group if tracker.detects_next else (), pixels)
             live += len(update.registered) - len(update.deregistered)
-            if trace_handle:
-                trace_handle.write(_frame_update_json(update) + "\n")
+            if trace:
+                trace.write(_frame_update_json(update) + "\n")
+            # positions come in ascending id order, so rows are in file order.
             for tid, point in update.positions:
                 rows.append((tid, frame_index, point.x, point.y))
             frame_index += 1
-    finally:
-        if trace_handle:
-            trace_handle.close()
 
-    rows.sort(key=lambda r: (r[1], r[0]))
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(",".join(io.TRAJECTORY_HEADER) + "\n")
         for tid, frame, cx, cy in rows:
-            handle.write(f"{tid},{frame},{_fmt(cx)},{_fmt(cy)}\n")
+            handle.write(f"{tid},{frame},{io.format_number(cx)},{io.format_number(cy)}\n")
     print(
         f"track: {frame_index} frames, {tracker.next_id} identities registered, "
         f"{len(tracker.live_tracks())} live at end -> {args.out}"
@@ -246,7 +237,9 @@ def _evaluate(args, thresholds: list[float]):
         raise ValueError(f"--frame-count must be non-negative, got {args.frame_count}")
     detections = io.read_detections(args.detections)
     ground_truth = io.read_ground_truth(args.groundtruth)
-    return threshold_sweep(detections, ground_truth, thresholds, args.iou, args.frame_count)
+    # Every other argument is checked by now: what can fail is the frame count.
+    with _errors_name("--frame-count"):
+        return threshold_sweep(detections, ground_truth, thresholds, args.iou, args.frame_count)
 
 
 def _cmd_eval(args) -> int:
@@ -263,7 +256,7 @@ def _cmd_sweep(args) -> int:
     lines = [",".join(SWEEP_COLUMNS)]
     for report in reports:
         row = report.to_dict()
-        lines.append(",".join(_fmt(row[column]) for column in SWEEP_COLUMNS))
+        lines.append(",".join(io.format_number(row[column]) for column in SWEEP_COLUMNS))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")

@@ -195,9 +195,13 @@ def group_by_frame(records) -> dict[int, list]:
     return grouped
 
 
-def _infer_frame_count(detections, ground_truth) -> int:
+def _frame_universe(detections, ground_truth, frame_count: Optional[int]) -> int:
+    """frame_count, or if None the frames the records span; fewer than those is an error."""
     frames = chain((d.frame_index for d in detections), (g.frame_index for g in ground_truth))
-    return max(frames, default=-1) + 1
+    span = max(frames, default=-1) + 1
+    if frame_count is not None and frame_count < span:
+        raise ValueError(f"frame_count {frame_count} is below {span}, the frames the records span")
+    return span if frame_count is None else frame_count
 
 
 def evaluate_at(
@@ -210,17 +214,17 @@ def evaluate_at(
     """Pooled confusion counts and metrics at a single confidence threshold.
 
     frame_count fixes the frame universe for TN counting; when omitted it
-    is inferred as the highest frame index present plus one.
+    is inferred as the highest frame index present plus one. A frame_count
+    below that raises ValueError: every record must lie in the universe.
     """
     require_fraction("threshold", threshold)
     require_fraction("iou_threshold", iou_threshold)
-    if frame_count is None:
-        frame_count = _infer_frame_count(detections, ground_truth)
+    frame_count = _frame_universe(detections, ground_truth, frame_count)
     kept = [d for d in detections if d.confidence >= threshold]
     det_frames = group_by_frame(kept)
     gt_frames = group_by_frame(ground_truth)
     tp = fp = fn = 0
-    for frame in sorted(det_frames.keys() | gt_frames.keys()):
+    for frame in det_frames.keys() | gt_frames.keys():
         f_tp, f_fp, f_fn = match_frame(
             det_frames.get(frame, ()), gt_frames.get(frame, ()), iou_threshold
         )
@@ -244,11 +248,11 @@ def threshold_sweep(
 ) -> list[MetricsReport]:
     """One report per threshold, which must be strictly increasing in [0, 1].
 
-    Every threshold is checked before the first one is evaluated. The kept
-    sets (confidence >= threshold) are nested, so a threshold that keeps as
-    many detections as the one before it keeps the same set: its report is
-    the previous one under the new threshold. The cost is one evaluate_at
-    per distinct kept set, and the first threshold is always evaluated.
+    Every threshold, and frame_count, is checked before the first threshold
+    is evaluated. The kept sets (confidence >= threshold) are nested, so a
+    threshold that keeps as many detections as the one before it keeps the
+    same set: its report is the previous one under the new threshold. The
+    cost is one evaluate_at per distinct kept set, the first always.
     """
     if len(thresholds) == 0:
         raise ValueError("threshold list must not be empty")
@@ -258,8 +262,7 @@ def threshold_sweep(
             raise ValueError(
                 f"thresholds must be strictly increasing, got {thresholds[i - 1]} then {threshold}"
             )
-    if frame_count is None:
-        frame_count = _infer_frame_count(detections, ground_truth)
+    frame_count = _frame_universe(detections, ground_truth, frame_count)
     confidences = sorted(d.confidence for d in detections)
     reports: list[MetricsReport] = []
     previous_kept = -1

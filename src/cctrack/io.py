@@ -37,6 +37,11 @@ class FormatError(ValueError):
     """A file failed schema validation; the message names line and field."""
 
 
+def format_number(value) -> str:
+    """A CSV number: the shortest round-trip form of a float, numpy float64 too, else str."""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
 def _fail(path: PathLike, line: int, message: str) -> None:
     raise FormatError(f"{path}:{line}: {message}")
 
@@ -194,20 +199,11 @@ def read_ground_truth(path: PathLike) -> list[GroundTruthRecord]:
 def write_ground_truth(path: PathLike, records: Iterable[GroundTruthRecord]) -> None:
     """Write ground truth as CSV sorted by (frame, object_id)."""
     ordered = sorted(records, key=lambda r: (r.frame_index, r.object_id))
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(GROUND_TRUTH_HEADER)
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(GROUND_TRUTH_HEADER) + "\n")
         for record in ordered:
-            writer.writerow(
-                [
-                    record.frame_index,
-                    record.object_id,
-                    repr(record.bbox.x1),
-                    repr(record.bbox.y1),
-                    repr(record.bbox.x2),
-                    repr(record.bbox.y2),
-                ]
-            )
+            fields = (record.frame_index, record.object_id, *record.bbox.as_tuple())
+            handle.write(",".join(map(format_number, fields)) + "\n")
 
 
 def write_pgm(path: PathLike, frame: np.ndarray) -> None:

@@ -86,7 +86,7 @@ class FrameUpdate:
     disappeared_incremented, or deregistered; on correlation frames the
     advanced track ids land in correlated instead. All id lists are
     pairwise disjoint. positions holds (track_id, centroid) after the
-    update for every id in matched, then registered, then correlated.
+    update for every id in matched, registered or correlated, ids ascending.
     """
 
     frame_index: int
@@ -172,6 +172,7 @@ class CentroidCorrelationTracker:
 
     def __init__(self, config: Optional[TrackerConfig] = None):
         self.config = config or TrackerConfig()
+        # Ids only grow and new tracks are appended: _tracks is in id order.
         self._tracks: dict[int, _TrackState] = {}
         self._next_id = 0
         self._update_count = 0
@@ -180,7 +181,7 @@ class CentroidCorrelationTracker:
 
     def live_tracks(self) -> list[Track]:
         """Snapshots of all live tracks, ids ascending (registration order)."""
-        return [self._tracks[tid].snapshot() for tid in sorted(self._tracks)]
+        return [track.snapshot() for track in self._tracks.values()]
 
     @property
     def next_id(self) -> int:
@@ -246,18 +247,17 @@ class CentroidCorrelationTracker:
             for d in detections
             if d.confidence >= cfg.confidence_threshold and d.class_id == cfg.person_class_id
         ]
-        existing = [(tid, self._tracks[tid].centroid) for tid in sorted(self._tracks)]
+        existing = [(tid, track.centroid) for tid, track in self._tracks.items()]
         incoming = [(i, centroid(d.bbox)) for i, d in enumerate(kept)]
         result = associate(existing, incoming, cfg.max_distance)
 
-        matched, positions = [], []
+        matched = []
         for track_id, index in result.matches:
             det = kept[index]
             center = incoming[index][1]
             self._tracks[track_id].disappeared = 0
             self._tracks[track_id].move_to(frame_index, det.bbox, center)
             matched.append((track_id, det))
-            positions.append((track_id, center))
 
         registered = []
         for index in result.unmatched_incoming:
@@ -268,7 +268,6 @@ class CentroidCorrelationTracker:
             self._tracks[track.id] = track
             self._next_id += 1
             registered.append(track.id)
-            positions.append((track.id, center))
 
         aged, removed = [], []
         for track_id in result.unmatched_tracks:
@@ -284,9 +283,10 @@ class CentroidCorrelationTracker:
             frame_index,
             matched=tuple(matched),
             registered=tuple(registered),
-            disappeared_incremented=tuple(sorted(aged)),
-            deregistered=tuple(sorted(removed)),
-            positions=tuple(positions),
+            disappeared_incremented=tuple(aged),
+            deregistered=tuple(removed),
+            # Matched and registered tracks are the ones not missed this frame.
+            positions=tuple((t.id, t.centroid) for t in self._tracks.values() if not t.disappeared),
         )
 
     def _correlation_update(self, frame_index: int, frame: Optional[np.ndarray]) -> FrameUpdate:
@@ -295,8 +295,7 @@ class CentroidCorrelationTracker:
             return FrameUpdate(frame_index)
         advanced = []
         frame_h, frame_w = self._prev_frame.shape
-        for track_id in sorted(self._tracks):
-            track = self._tracks[track_id]
+        for track_id, track in self._tracks.items():
             visible = self._clip_to_frame(track.bbox, frame_w, frame_h)
             if visible is None:
                 continue

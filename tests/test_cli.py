@@ -455,6 +455,26 @@ class TestEvalAndSweep:
         assert [int(row["tn"]) for row in rows] == [10**12] * 9
         assert [int(row["fp"]) for row in rows] == [1] * 9
 
+    @pytest.mark.parametrize(
+        "command", [["eval", "--threshold", "0.5"], ["sweep"]], ids=["eval", "sweep"]
+    )
+    def test_frame_count_below_the_records_span_is_data_error(self, dataset, capsys, command):
+        detections, truth = dataset / "detections.jsonl", dataset / "groundtruth.csv"
+        records = [*read_detections(detections), *read_ground_truth(truth)]
+        span = max(record.frame_index for record in records) + 1
+        files = ["--detections", str(detections), "--groundtruth", str(truth)]
+        assert main([*command, *files]) == 0
+        unflagged = capsys.readouterr().out
+        assert main([*command, *files, "--frame-count", str(span)]) == 0
+        assert capsys.readouterr().out == unflagged
+        assert main([*command, *files, "--frame-count", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"cctrack: error: --frame-count: frame_count 1 is below {span}, "
+            "the frames the records span\n"
+        )
+
     def test_bad_threshold_range_is_data_error(self, dataset, capsys):
         code = main([
             "sweep", "--detections", str(dataset / "detections.jsonl"),
@@ -585,6 +605,23 @@ class TestTrack:
         err = capsys.readouterr().err
         assert "frame_000002.pgm: frame is 6x5, but frame_000000.pgm is 16x12" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("parent", ["missing/dir", "d.jsonl"], ids=["missing", "a-file"])
+    def test_out_outside_a_directory_fails_before_the_trace_is_opened(
+        self, tmp_path, capsys, parent
+    ):
+        dets = tmp_path / "d.jsonl"
+        dets.write_text('{"frame": 0, "bbox": [0, 0, 5, 5], "score": 0.5, "class": 0}\n')
+        config = write_config(tmp_path, "trk.json", {})
+        trace = tmp_path / "trace.jsonl"
+        code = main([
+            "track", "--detections", str(dets), "--config", config,
+            "--out", str(tmp_path / parent / "t.csv"), "--trace", str(trace),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"cctrack: error: --out: {tmp_path / parent} is not a directory\n"
+        assert not trace.exists()
 
     @pytest.mark.parametrize("frames", ["missing", "no-pgm"])
     def test_bad_frames_directory_fails_before_the_trace_is_opened(

@@ -281,6 +281,21 @@ class TestEvaluateAt:
         with pytest.raises(ValueError, match="threshold"):
             evaluate_at([], [], 1.5)
 
+    # The span counts every record: the detection at frame 6 is below any
+    # threshold used here, and still lies in the frame universe.
+    @pytest.mark.parametrize("evaluate", [
+        lambda dets, truth, n: evaluate_at(dets, truth, 0.5, frame_count=n),
+        lambda dets, truth, n: threshold_sweep(dets, truth, frame_count=n),
+    ], ids=["evaluate_at", "threshold_sweep"])
+    def test_frame_count_below_the_records_span_rejected(self, evaluate):
+        detections = [det(2, 0, 0, 10, 10, 0.9), det(6, 0, 0, 10, 10, 0.05)]
+        truth = [gt(4, 0, 0, 10, 10)]
+        for frame_count in (0, 3, 6):
+            with pytest.raises(ValueError, match=f"frame_count {frame_count} is below 7, "):
+                evaluate(detections, truth, frame_count)
+        assert evaluate(detections, truth, 7) == evaluate(detections, truth, None)
+        evaluate(detections, truth, 8)
+
 
 class TestThresholdSweep:
     def test_default_grid_is_the_nine_tenths(self):

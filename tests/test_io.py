@@ -140,6 +140,17 @@ class TestGroundTruthCsv:
         write_ground_truth(path, records)
         assert read_ground_truth(path) == records
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_numpy_coordinates_round_trip(self, tmp_path, dtype):
+        coords = [dtype(v) for v in (0.1, 2.5, 30.7, 40.25)]
+        path = tmp_path / "gt.csv"
+        write_ground_truth(path, [GroundTruthRecord(3, BoundingBox(*coords), 7)])
+        assert "np." not in path.read_text()
+        (record,) = read_ground_truth(path)
+        assert (record.frame_index, record.object_id) == (3, 7)
+        # Each coordinate reads back as the same value in its own precision.
+        assert [dtype(v) for v in record.bbox.as_tuple()] == coords
+
     def test_header_required(self, tmp_path):
         path = tmp_path / "gt.csv"
         path.write_text("0,0,0,0,5,5\n")

@@ -420,16 +420,71 @@ class TestPositions:
         for index, pixels in enumerate(frames):
             detections = by_frame.get(index, ()) if tracker.detects_next else ()
             update = tracker.update(index, detections, pixels)
-            moved = (
+            moved = sorted(
                 [tid for tid, _ in update.matched]
                 + list(update.registered)
                 + list(update.correlated)
             )
             live = {track.id: track.centroid for track in tracker.live_tracks()}
+            # Every moved track, ids ascending, at its position after the update.
             assert update.positions == tuple((tid, live[tid]) for tid in moved)
             for name in seen:
                 seen[name] += len(getattr(update, name))
         assert all(seen.values()), seen
+
+    def test_positions_ascend_when_association_order_does_not(self):
+        tracker = make_tracker(max_distance=20.0)
+        tracker.update(0, [det(0, 0, 0, 10, 10, 0.9), det(0, 100, 0, 110, 10, 0.9)])
+        # Track 1's detection is nearer than track 0's, so it is matched first.
+        near_one = det(1, 101, 0, 111, 10, 0.9)
+        near_zero = det(1, 5, 0, 15, 10, 0.9)
+        update = tracker.update(1, [near_zero, near_one, det(1, 50, 50, 60, 60, 0.9)])
+        assert update.matched == ((1, near_one), (0, near_zero))
+        assert update.registered == (2,)
+        assert [tid for tid, _ in update.positions] == [0, 1, 2]
+        live = {track.id: track.centroid for track in tracker.live_tracks()}
+        assert update.positions == tuple(live.items())
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.lists(
+                st.tuples(st.integers(0, 40), st.integers(0, 40), st.sampled_from([0.3, 0.9])),
+                max_size=4,
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_every_update_lists_ids_ascending(
+        self, stream, interval, max_disappearance, with_pixels, seed
+    ):
+        tracker = make_tracker(
+            detection_interval=interval,
+            max_disappearance=max_disappearance,
+            max_distance=15.0,
+            search_margin=3,
+        )
+        pixels = np.random.default_rng(seed).integers(0, 256, size=(len(stream), 60, 60))
+        for index, boxes in enumerate(stream):
+            detections = [det(index, x, y, x + 10, y + 10, c) for x, y, c in boxes]
+            update = tracker.update(
+                index,
+                detections if tracker.detects_next else (),
+                pixels[index].astype(np.uint8) if with_pixels else None,
+            )
+            ids = [tid for tid, _ in update.positions]
+            moved = [tid for tid, _ in update.matched] + [*update.registered, *update.correlated]
+            assert ids == sorted(moved)
+            for name in ("disappeared_incremented", "deregistered", "registered", "correlated"):
+                listed = getattr(update, name)
+                assert list(listed) == sorted(listed), name
+            live = [track.id for track in tracker.live_tracks()]
+            assert live == sorted(live)
 
 
 class TestCorrelationFrames:
