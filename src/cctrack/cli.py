@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -100,6 +101,24 @@ def _errors_name(source: str):
         raise io.FormatError(f"{source}: {exc}") from None
 
 
+def _require_distinct(args, outputs: tuple[str, ...], inputs: tuple[str, ...]) -> None:
+    """Reject an output flag that names an input's file or another output's path.
+
+    Flags go by their argparse dest; unset ones are skipped. Called before
+    any file is read or opened, so a clash leaves every file as it was.
+    """
+    outs = [(flag, getattr(args, flag)) for flag in outputs if getattr(args, flag)]
+    ins = [(flag, getattr(args, flag)) for flag in inputs]
+    for i, (out, out_path) in enumerate(outs):
+        for other, path in outs[i + 1 :] + ins:
+            try:
+                same = os.path.samefile(out_path, path)
+            except OSError:  # one of them does not exist (yet)
+                same = os.path.realpath(out_path) == os.path.realpath(path)
+            if same:
+                raise ValueError(f"--{out} and --{other} name the same file: {out_path}")
+
+
 def _frame_update_json(update: FrameUpdate) -> str:
     return json.dumps(
         {
@@ -166,6 +185,7 @@ def _cmd_synth(args) -> int:
 def _cmd_track(args) -> int:
     from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
+    _require_distinct(args, ("out", "trace"), ("detections", "config"))
     # --out is written only on success: its directory is checked before any work.
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
@@ -175,8 +195,7 @@ def _cmd_track(args) -> int:
     with _errors_name(args.config):
         config = config_from_fields(TrackerConfig, _load_json_config(args.config))
 
-    last_detection = detections[-1].frame_index if detections else -1
-    if last_detection < 0 and not args.frames:
+    if not detections and not args.frames:
         raise io.FormatError(f"{args.detections}: no frames to track (empty input)")
 
     tracker = CentroidCorrelationTracker(config)
@@ -195,7 +214,7 @@ def _cmd_track(args) -> int:
         while True:
             pixels = next(frames, None)
             if pixels is None:
-                if frame_index > last_detection:
+                if not detections:
                     break
                 if not live:
                     # With no live track and no pixels, an update without
@@ -250,6 +269,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _require_distinct(args, ("out",), ("detections", "groundtruth"))
     with _errors_name("--thresholds"):
         thresholds = parse_threshold_range(args.thresholds)
     reports = _evaluate(args, thresholds)

@@ -164,30 +164,28 @@ def correlate_track(
     sy2 = min(frame_h, y2 + search_margin)
     search = cur[sy1:sy2, sx1:sx2]
 
+    # n-scaled centred sums (n*sum(wt) - sum(w)*sum(t), likewise the energies);
+    # float ones stay small after a shift by the template mean, which NCC
+    # ignores. astype copies, so the caller's frames are untouched.
+    exact = _exact_in_int64(template, search)
+    template = template.astype(np.int64 if exact else np.float64)
+    search = search.astype(template.dtype)
+    if not exact:
+        t_mean = template.mean()
+        template -= t_mean
+        search -= t_mean
     n = template.size
-    if _exact_in_int64(template, search):
-        # n-scaled centred sums, exact in int64: a flat window has energy 0.
-        template = template.astype(np.int64)
-        search = search.astype(np.int64)
-        t_sum = int(template.sum())
-        t_energy = n * int(np.sum(template * template)) - t_sum * t_sum
-        win_sum = _window_sums(search, template.shape)
-        win_energy = n * _window_sums(search * search, template.shape) - win_sum * win_sum
-        raw_cross = np.rint(_window_cross(search, template)).astype(np.int64)
-        cross = n * raw_cross - win_sum * t_sum
-    else:
-        # Shift both by the template mean (NCC ignores it) to keep sums small;
-        # sum(W * Tc) equals sum((W - mean(W)) * Tc) because Tc sums to zero.
-        t_mean = float(np.mean(template, dtype=np.float64))
-        template = template.astype(np.float64) - t_mean
-        search = search.astype(np.float64) - t_mean
-        t_energy = float(np.sum(template * template))
-        win_sum = _window_sums(search, template.shape)
-        win_sq = _window_sums(search * search, template.shape)
-        win_energy = np.maximum(win_sq - win_sum * win_sum / n, 0.0)
-        cross = _window_cross(search, template)
+    t_sum = template.sum()
+    t_energy = n * np.sum(template * template) - t_sum * t_sum
+    win_sum = _window_sums(search, template.shape)
+    win_energy = n * _window_sums(search * search, template.shape) - win_sum * win_sum
+    raw_cross = _window_cross(search, template)
+    if exact:
+        raw_cross = np.rint(raw_cross).astype(np.int64)
+    cross = n * raw_cross - win_sum * t_sum
 
-    denom = np.sqrt(win_energy * float(t_energy))
+    # A float window's energy can round below zero.
+    denom = np.sqrt(np.maximum(win_energy * float(t_energy), 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ncc = np.where(denom > 0.0, cross / denom, 0.0)
 

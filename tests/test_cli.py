@@ -785,6 +785,43 @@ class TestTrack:
         assert code == 2
 
 
+class TestOutputsNeverOverwriteInputs:
+    """An output flag naming an input's file, or both outputs one path, exits 2 first."""
+
+    @pytest.mark.parametrize("command, out, trace, clash", [
+        ("track", "detections", None, "--out and --detections"),
+        ("track", "config", None, "--out and --config"),
+        ("track", "new", "detections", "--trace and --detections"),
+        ("track", "new", "config", "--trace and --config"),
+        ("track", "new", "new", "--out and --trace"),
+        ("track", "hard-link", None, "--out and --detections"),
+        ("sweep", "groundtruth", None, "--out and --groundtruth"),
+        ("sweep", "detections", None, "--out and --detections"),
+    ])
+    def test_clash_is_data_error_and_leaves_every_file(self, tmp_path, capsys, command, out, trace, clash):
+        data = synth(tmp_path, capsys, {
+            "preset": "small", "frame_count": 20, "rng_seed": 3, "render_frames": False,
+        })
+        paths = {
+            "detections": data / "detections.jsonl",
+            "groundtruth": data / "groundtruth.csv",
+            "config": Path(write_config(tmp_path, "trk.json", {"max_distance": 40.0})),
+            "new": tmp_path / "new.out",
+            "hard-link": tmp_path / "alias.jsonl",
+        }
+        os.link(paths["detections"], paths["hard-link"])
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        if command == "track":
+            argv = ["track", "--detections", str(paths["detections"]), "--config", str(paths["config"])]
+        else:
+            argv = ["sweep", "--detections", str(paths["detections"]),
+                    "--groundtruth", str(paths["groundtruth"])]
+        argv += ["--out", str(paths[out])] + (["--trace", str(paths[trace])] if trace else [])
+        assert main(argv) == 2
+        assert f"{clash} name the same file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 class TestBadNumbersAreDataErrors:
     """Each bad number exits 2 with one line naming the file and key, or the flag."""
 

@@ -217,6 +217,17 @@ class TestFloatFrames:
                 assert (result.dx, result.dy) == (expected.dx, expected.dy)
                 assert result.score == pytest.approx(expected.score, abs=1e-9)
 
+    def test_frames_shifted_by_1e12_match_the_unshifted_frames(self, rng):
+        # NCC ignores a common offset; unshifted by the template mean, the
+        # n-scaled sums of values near 1e12 would cancel to noise
+        prev = textured_frame(rng).astype(np.float64)
+        cur = shifted(prev, 2, 3)
+        bbox = BoundingBox(40, 30, 60, 50)
+        expected = correlate_track(prev, cur, bbox, search_margin=5)
+        result = correlate_track(prev + 1e12, cur + 1e12, bbox, search_margin=5)
+        assert (result.dx, result.dy) == (expected.dx, expected.dy) == (2, 3)
+        assert result.score == pytest.approx(expected.score, abs=1e-9)
+
 
 class TestWideIntegerFrames:
     """Integer frames too wide for exact int64 sums fall back to float64."""

@@ -324,6 +324,21 @@ class TestConvcheckProperties:
                 id="full-conv-macs-plus-one",
             ),
             pytest.param(
+                check_mac_formulas, "depthwise_conv_macs",
+                lambda real: lambda *args: real(*args) + 1,
+                id="depthwise-conv-macs-plus-one",
+            ),
+            pytest.param(
+                check_mac_formulas, "pointwise_conv_macs",
+                lambda real: lambda *args: real(*args) + 1,
+                id="pointwise-conv-macs-plus-one",
+            ),
+            pytest.param(
+                check_mac_formulas, "separable_conv_macs",
+                lambda real: lambda *args: real(*args) + 1,
+                id="separable-conv-macs-plus-one",
+            ),
+            pytest.param(
                 check_mac_ratio_exact, "separable_to_full_mac_ratio",
                 lambda real: lambda *args: real(*args) + 1e-3,
                 id="mac-ratio-plus-1e-3",
