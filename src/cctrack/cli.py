@@ -101,21 +101,36 @@ def _errors_name(source: str):
         raise io.FormatError(f"{source}: {exc}") from None
 
 
-def _require_distinct(args, outputs: tuple[str, ...], inputs: tuple[str, ...]) -> None:
-    """Reject an output flag that names an input's file or another output's path.
+def _file_key(path) -> object:
+    """Device and inode of an existing file, else its real path: equal keys name one file."""
+    try:
+        stat = os.stat(path)
+    except OSError:  # it does not exist (yet)
+        return os.path.realpath(path)
+    return stat.st_dev, stat.st_ino
 
-    Flags go by their argparse dest; unset ones are skipped. Called before
-    any file is read or opened, so a clash leaves every file as it was.
+
+def _flags(args, *flags: str) -> list[tuple[str, str]]:
+    """(flag, path) for each of these flags that is set."""
+    return [(flag, getattr(args, flag)) for flag in flags if getattr(args, flag)]
+
+
+def _frame_files(flag: str, directory) -> list[tuple[str, Path]]:
+    """(flag, path) for each *.pgm file of a directory, as read_frames finds them."""
+    return [(flag, path) for path in Path(directory).glob("*.pgm")]
+
+
+def _require_distinct(outputs: list[tuple], inputs: list[tuple]) -> None:
+    """Reject an output that names an input's file or another output's path.
+
+    outputs and inputs are (flag, path) pairs. Called before any file is
+    read, opened or deleted, so a clash leaves every file as it was.
     """
-    outs = [(flag, getattr(args, flag)) for flag in outputs if getattr(args, flag)]
-    ins = [(flag, getattr(args, flag)) for flag in inputs]
-    for i, (out, out_path) in enumerate(outs):
-        for other, path in outs[i + 1 :] + ins:
-            try:
-                same = os.path.samefile(out_path, path)
-            except OSError:  # one of them does not exist (yet)
-                same = os.path.realpath(out_path) == os.path.realpath(path)
-            if same:
+    outs = [(flag, path, _file_key(path)) for flag, path in outputs]
+    ins = [(flag, path, _file_key(path)) for flag, path in inputs]
+    for i, (out, out_path, key) in enumerate(outs):
+        for other, _, other_key in outs[i + 1 :] + ins:
+            if key == other_key:
                 raise ValueError(f"--{out} and --{other} name the same file: {out_path}")
 
 
@@ -145,6 +160,10 @@ def _frames_fit(source: str, cfg: ScenarioConfig):
 def _cmd_synth(args) -> int:
     from . import scenario
 
+    # The files synth writes, and the earlier run's frames it deletes.
+    out_dir = Path(args.out_dir)
+    outputs = [("out-dir", out_dir / "detections.jsonl"), ("out-dir", out_dir / "groundtruth.csv")]
+    _require_distinct(outputs + _frame_files("out-dir", out_dir / "frames"), _flags(args, "config"))
     with _errors_name(args.config):
         config_data = _load_json_config(args.config)
         render = config_data.pop("render_frames", True)
@@ -162,7 +181,6 @@ def _cmd_synth(args) -> int:
         with _frames_fit(args.config, cfg):
             frames = scenario.render_frames(scn)
             frames = itertools.chain([next(frames)], frames)
-    out_dir = Path(args.out_dir)
     # Frames of an earlier run would be read back as this run's.
     for stale in (out_dir / "frames").glob("*.pgm"):
         stale.unlink()
@@ -185,7 +203,10 @@ def _cmd_synth(args) -> int:
 def _cmd_track(args) -> int:
     from .tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 
-    _require_distinct(args, ("out", "trace"), ("detections", "config"))
+    inputs = _flags(args, "detections", "config")
+    if args.frames:
+        inputs += _frame_files("frames", args.frames)
+    _require_distinct(_flags(args, "out", "trace"), inputs)
     # --out is written only on success: its directory is checked before any work.
     out_dir = Path(args.out).parent
     if not out_dir.is_dir():
@@ -269,7 +290,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    _require_distinct(args, ("out",), ("detections", "groundtruth"))
+    _require_distinct(_flags(args, "out"), _flags(args, "detections", "groundtruth"))
     with _errors_name("--thresholds"):
         thresholds = parse_threshold_range(args.thresholds)
     reports = _evaluate(args, thresholds)

@@ -10,7 +10,8 @@ frame-level counts; this is deliberate and documented.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
 from itertools import chain
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -133,12 +134,25 @@ def match_frame(
         raise ValueError(f"records span multiple frames: {sorted(frames)}")
 
     order = sorted(range(len(detections)), key=lambda i: (-detections[i].confidence, i))
-    # Unmatched ground truth as (x1, y1, x2, y2, area) in ascending index
-    # order; the strict > below gives an IoU tie to the lowest index.
-    unmatched = [
-        (b.x1, b.y1, b.x2, b.y2, (b.x2 - b.x1) * (b.y2 - b.y1))
-        for b in (record.bbox for record in ground_truth)
-    ]
+    # Unmatched ground truth as (x1, y1, x2, y2, area, index) in ascending
+    # x1; lefts[k] is entry k's x1 and reach[k] the greatest x2 of entries
+    # 0..k. A box overlaps a detection's x-span only if its x1 < x2 and its
+    # x2 > x1, so each detection scores only the strip from the first
+    # reach[k] > x1 up to the first lefts[k] >= x2. The bounds are found by
+    # comparison alone, with no arithmetic to round, and a matched entry
+    # leaves reach an upper bound for those after it.
+    unmatched = sorted(
+        (b.x1, b.y1, b.x2, b.y2, (b.x2 - b.x1) * (b.y2 - b.y1), index)
+        for index, b in enumerate(record.bbox for record in ground_truth)
+    )
+    lefts: list[float] = []
+    reach: list[float] = []
+    right = -math.inf
+    for entry in unmatched:
+        lefts.append(entry[0])
+        if entry[2] > right:
+            right = entry[2]
+        reach.append(right)
     tp = 0
     for det_index in order:
         if not unmatched:
@@ -147,10 +161,11 @@ def match_frame(
         x1, y1, x2, y2 = box.x1, box.y1, box.x2, box.y2
         area = (x2 - x1) * (y2 - y1)
         best_iou = 0.0
-        best_slot = -1
+        best_index = best_slot = -1
         # geometry.iou(box, truth) inlined in its operation order, so every
         # score is bit-identical; min(a, b) is `b if b < a else a`.
-        for slot, (gx1, gy1, gx2, gy2, g_area) in enumerate(unmatched):
+        for slot in range(bisect_right(reach, x1), bisect_left(lefts, x2)):
+            gx1, gy1, gx2, gy2, g_area, index = unmatched[slot]
             inter_w = (gx2 if gx2 < x2 else x2) - (gx1 if gx1 > x1 else x1)
             if inter_w <= 0.0:
                 continue
@@ -162,11 +177,13 @@ def match_frame(
             if union <= 0.0:
                 continue
             overlap = intersection / union
-            if overlap > best_iou:
+            # An IoU tie goes to the lowest ground-truth index.
+            if overlap > best_iou or (overlap == best_iou and index < best_index):
                 best_iou = overlap
+                best_index = index
                 best_slot = slot
         if best_slot >= 0 and best_iou >= iou_threshold:
-            del unmatched[best_slot]
+            del unmatched[best_slot], lefts[best_slot], reach[best_slot]
             tp += 1
     return tp, len(detections) - tp, len(unmatched)
 

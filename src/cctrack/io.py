@@ -69,55 +69,103 @@ def _utf8_lines(handle, path: PathLike):
         yield line
 
 
+def _read_detection(path: PathLike, line_no: int, line: str, previous_frame: int) -> Detection:
+    """Parse and validate one stripped detection line; frames before previous_frame fail."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        _fail(path, line_no, f"malformed JSON: {exc.msg}")
+    except ValueError as exc:  # an integer literal past int_max_str_digits
+        _fail(path, line_no, f"malformed JSON: {exc}")
+    except RecursionError:
+        _fail(path, line_no, "malformed JSON: nested too deeply")
+    if not isinstance(obj, dict):
+        _fail(path, line_no, "each line must be a JSON object")
+    missing = {"frame", "bbox", "score", "class"} - obj.keys()
+    if missing:
+        _fail(path, line_no, f"missing field(s): {sorted(missing)}")
+
+    try:
+        frame = require_number("field 'frame'", obj["frame"], integral=True)
+        if frame < 0:
+            raise ValueError(f"field 'frame' must be non-negative, got {frame}")
+        if frame < previous_frame:
+            raise ValueError(f"field 'frame' out of order: {frame} after {previous_frame}")
+        bbox = obj["bbox"]
+        if not isinstance(bbox, list) or len(bbox) != 4:
+            raise ValueError("field 'bbox' must be a 4-element [x1, y1, x2, y2] list")
+        coords = [float(require_number("field 'bbox'", v)) for v in bbox]
+        score = float(require_number("field 'score'", obj["score"]))
+        if not (0.0 <= score <= 1.0):
+            raise ValueError(f"field 'score' must be in [0, 1], got {score}")
+        class_id = require_number("field 'class'", obj["class"], integral=True)
+        if class_id < 0:
+            raise ValueError(f"field 'class' must be non-negative, got {class_id}")
+    except (TypeError, ValueError) as exc:
+        _fail(path, line_no, str(exc))
+    box = _read_box(path, line_no, coords, "field 'bbox' invalid")
+    return Detection(frame, box, score, class_id)
+
+
+# The fast path below takes only values this validator passes unchanged:
+# frames and classes that are ints below 2**53, coordinates and scores
+# that are floats in range. Booleans, ints as coordinates or scores, NaN
+# and infinities fail its exact type or range tests and go to the validator.
+_LIMIT = 2.0**53
+
+
 def read_detections(path: PathLike) -> list[Detection]:
     """Parse and validate a detection JSONL file.
 
     Rejects malformed JSON, missing or mistyped fields, scores outside
     [0, 1], invalid boxes, and frames out of (non-decreasing) order, always
     citing the offending line.
+
+    A line the C scanner decodes whole into a record of exact builtin types
+    in range is taken as it is; every other line goes through
+    _read_detection, the one source of error messages.
     """
     detections: list[Detection] = []
-    previous_frame = -1
+    append = detections.append
+    scan = json.JSONDecoder().scan_once
+    # Frames are non-negative, so starting at 0 rejects what -1 would.
+    previous_frame = 0
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         for line_no, line in enumerate(_utf8_lines(handle, path), start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                _fail(path, line_no, f"malformed JSON: {exc.msg}")
-            except ValueError as exc:  # an integer literal past int_max_str_digits
-                _fail(path, line_no, f"malformed JSON: {exc}")
-            except RecursionError:
-                _fail(path, line_no, "malformed JSON: nested too deeply")
-            if not isinstance(obj, dict):
-                _fail(path, line_no, "each line must be a JSON object")
-            missing = {"frame", "bbox", "score", "class"} - obj.keys()
-            if missing:
-                _fail(path, line_no, f"missing field(s): {sorted(missing)}")
-
-            try:
-                frame = require_number("field 'frame'", obj["frame"], integral=True)
-                if frame < 0:
-                    raise ValueError(f"field 'frame' must be non-negative, got {frame}")
-                if frame < previous_frame:
-                    raise ValueError(f"field 'frame' out of order: {frame} after {previous_frame}")
-                bbox = obj["bbox"]
-                if not isinstance(bbox, list) or len(bbox) != 4:
-                    raise ValueError("field 'bbox' must be a 4-element [x1, y1, x2, y2] list")
-                coords = [float(require_number("field 'bbox'", v)) for v in bbox]
-                score = float(require_number("field 'score'", obj["score"]))
-                if not (0.0 <= score <= 1.0):
-                    raise ValueError(f"field 'score' must be in [0, 1], got {score}")
-                class_id = require_number("field 'class'", obj["class"], integral=True)
-                if class_id < 0:
-                    raise ValueError(f"field 'class' must be non-negative, got {class_id}")
-            except (TypeError, ValueError) as exc:
-                _fail(path, line_no, str(exc))
-            previous_frame = frame
-            box = _read_box(path, line_no, coords, "field 'bbox' invalid")
-            detections.append(Detection(frame, box, score, class_id))
+                obj, end = scan(line, 0)
+                frame, bbox, score, class_id = obj["frame"], obj["bbox"], obj["score"], obj["class"]
+            except (StopIteration, KeyError, TypeError, ValueError, RecursionError):
+                end = -1  # not a whole JSON object with the four fields
+            if (
+                end == len(line)
+                and type(frame) is int
+                and previous_frame <= frame < 2**53
+                and type(bbox) is list
+                and len(bbox) == 4
+                and type(score) is float
+                and 0.0 <= score <= 1.0
+                and type(class_id) is int
+                and 0 <= class_id < 2**53
+            ):
+                x1, y1, x2, y2 = bbox
+                if (
+                    type(x1) is float
+                    and type(y1) is float
+                    and type(x2) is float
+                    and type(y2) is float
+                    and -_LIMIT <= x1 <= x2 <= _LIMIT
+                    and -_LIMIT <= y1 <= y2 <= _LIMIT
+                ):
+                    previous_frame = frame
+                    append(Detection(frame, BoundingBox(x1, y1, x2, y2), score, class_id))
+                    continue
+            detection = _read_detection(path, line_no, line, previous_frame)
+            previous_frame = detection.frame_index
+            append(detection)
     return detections
 
 

@@ -6,17 +6,21 @@ test. The convolution kernels have no oracle here: their properties live
 once, in the six check_* functions of cctrack.selfcheck that back the
 `convcheck` subcommand, and tests/test_kernels.py runs those checks at
 seeds 0-4 and against planted kernel faults instead of re-deriving them.
+The detection reader's oracle is the reader before its fast path, kept
+word for word: every line through json.loads and the field checks.
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cctrack.correlation import _PEAK_TIE_EPS, CorrelationResult, _raster_bounds
-from cctrack.geometry import BoundingBox, euclidean
+from cctrack.geometry import BoundingBox, Detection, euclidean, require_number
+from cctrack.io import _fail, _read_box, _utf8_lines
 from cctrack.tracker import AssociationResult
 
 
@@ -281,3 +285,55 @@ def correlate_track_reference(
             best = (key, dx, dy)
     _, dx, dy = best
     return CorrelationResult(bbox.translate(dx, dy), dx, dy, degenerate=False, score=peak)
+
+
+def read_detections_reference(path):
+    """Parse and validate a detection JSONL file.
+
+    Rejects malformed JSON, missing or mistyped fields, scores outside
+    [0, 1], invalid boxes, and frames out of (non-decreasing) order, always
+    citing the offending line.
+    """
+    detections: list[Detection] = []
+    previous_frame = -1
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+        for line_no, line in enumerate(_utf8_lines(handle, path), start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                _fail(path, line_no, f"malformed JSON: {exc.msg}")
+            except ValueError as exc:  # an integer literal past int_max_str_digits
+                _fail(path, line_no, f"malformed JSON: {exc}")
+            except RecursionError:
+                _fail(path, line_no, "malformed JSON: nested too deeply")
+            if not isinstance(obj, dict):
+                _fail(path, line_no, "each line must be a JSON object")
+            missing = {"frame", "bbox", "score", "class"} - obj.keys()
+            if missing:
+                _fail(path, line_no, f"missing field(s): {sorted(missing)}")
+
+            try:
+                frame = require_number("field 'frame'", obj["frame"], integral=True)
+                if frame < 0:
+                    raise ValueError(f"field 'frame' must be non-negative, got {frame}")
+                if frame < previous_frame:
+                    raise ValueError(f"field 'frame' out of order: {frame} after {previous_frame}")
+                bbox = obj["bbox"]
+                if not isinstance(bbox, list) or len(bbox) != 4:
+                    raise ValueError("field 'bbox' must be a 4-element [x1, y1, x2, y2] list")
+                coords = [float(require_number("field 'bbox'", v)) for v in bbox]
+                score = float(require_number("field 'score'", obj["score"]))
+                if not (0.0 <= score <= 1.0):
+                    raise ValueError(f"field 'score' must be in [0, 1], got {score}")
+                class_id = require_number("field 'class'", obj["class"], integral=True)
+                if class_id < 0:
+                    raise ValueError(f"field 'class' must be non-negative, got {class_id}")
+            except (TypeError, ValueError) as exc:
+                _fail(path, line_no, str(exc))
+            previous_frame = frame
+            box = _read_box(path, line_no, coords, "field 'bbox' invalid")
+            detections.append(Detection(frame, box, score, class_id))
+    return detections

@@ -822,6 +822,43 @@ class TestOutputsNeverOverwriteInputs:
         assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
 
 
+    @pytest.mark.parametrize("out, trace, clash", [
+        ("frame", None, "--out and --frames"),
+        ("new", "frame", "--trace and --frames"),
+        ("frame-link", None, "--out and --frames"),
+        ("new", "frame-link", "--trace and --frames"),
+    ])
+    def test_track_outputs_never_name_a_frame(self, tmp_path, capsys, out, trace, clash):
+        data = synth(tmp_path, capsys, {"preset": "small", "frame_count": 8, "rng_seed": 3})
+        paths = {
+            "frame": data / "frames" / "frame_000005.pgm",
+            "frame-link": tmp_path / "alias.pgm",
+            "new": tmp_path / "new.out",
+        }
+        os.link(paths["frame"], paths["frame-link"])
+        config = write_config(tmp_path, "trk.json", {"detection_interval": 3})
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        argv = ["track", "--detections", str(data / "detections.jsonl"), "--frames", str(data / "frames"),
+                "--config", config, "--out", str(paths[out])]
+        assert main(argv + (["--trace", str(paths[trace])] if trace else [])) == 2
+        assert f"{clash} name the same file" in capsys.readouterr().err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+    @pytest.mark.parametrize("config_name", [
+        "detections.jsonl", "groundtruth.csv", "frames/frame_000002.pgm", "frames/notes.pgm",
+    ])
+    def test_synth_never_writes_or_deletes_its_config(self, tmp_path, capsys, config_name):
+        payload = {"preset": "small", "frame_count": 4, "rng_seed": 3}
+        data = synth(tmp_path, capsys, payload)
+        config = data / config_name
+        config.write_text(json.dumps(payload))
+        before = {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()}
+        assert main(["synth", "--config", str(config), "--out-dir", str(data)]) == 2
+        err = capsys.readouterr().err
+        assert f"--out-dir and --config name the same file: {config}" in err
+        assert {path: path.read_bytes() for path in tmp_path.rglob("*") if path.is_file()} == before
+
+
 class TestBadNumbersAreDataErrors:
     """Each bad number exits 2 with one line naming the file and key, or the flag."""
 

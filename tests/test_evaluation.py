@@ -1,3 +1,4 @@
+import math
 import time
 
 import pytest
@@ -206,6 +207,92 @@ class TestMatchFrameAgainstReference:
         expected = threshold_sweep(scn.detections, scn.ground_truth, frame_count=cfg.frame_count)
         assert rows == expected
         assert rows[0].counts.tp > 0 and rows[0].counts.fp > 0
+
+
+# Left edges over a span much wider than most boxes, widths from zero to
+# the whole span: a wide box reaches detections far to its right, so the
+# strip each detection scans must come from the boxes' right edges, not
+# from its own width.
+_STRIP_X = st.integers(0, 40).map(lambda q: q / 2)
+_STRIP_WIDTH = st.sampled_from((0.0, 0.5, 1.0, 1.5, 3.0, 8.0, 30.0))
+
+
+@st.composite
+def _strip_box(draw):
+    x1, y1 = draw(_STRIP_X), draw(st.integers(0, 4).map(lambda q: q / 2))
+    return (x1, y1, x1 + draw(_STRIP_WIDTH), y1 + draw(st.sampled_from((0.0, 0.5, 1.0, 2.0))))
+
+
+@st.composite
+def strip_frames(draw):
+    truth = draw(st.lists(_strip_box(), max_size=12))
+    extra = st.sampled_from(truth) if truth else _strip_box()
+    # Repeated boxes tie on IoU, and a repeated truth box is also a detection scoring 1.
+    truth = draw(st.permutations(truth + draw(st.lists(extra, max_size=3))))
+    det_boxes = draw(st.lists(st.one_of(_strip_box(), extra), max_size=12))
+    detections = [det(0, *box, draw(st.sampled_from((0.3, 0.5, 0.9)))) for box in det_boxes]
+    records = [gt(0, *box, object_id=i) for i, box in enumerate(truth)]
+    return detections, records, draw(st.sampled_from((0.0, 0.1, 0.5, 1.0)))
+
+
+_BIG = 2.0**53
+
+
+def _edge_cases():
+    """Boxes whose edges differ by one ulp, and boxes out at +-2**53."""
+    up, down = (lambda x: math.nextafter(x, math.inf)), (lambda x: math.nextafter(x, -math.inf))
+    ulp = [
+        ([(up(1.0), 0, 2, 1)], [(0, 0, 1, 1)]),  # one ulp apart: no overlap
+        ([(down(1.0), 0, 2, 1)], [(0, 0, 1, 1)]),  # one ulp of overlap
+        ([(0, 0, 1, 1)], [(up(1.0), 0, 2, 1), (down(1.0), 0, 3, 1), (-5, 0, up(0.0), 1)]),
+        ([(5, 0, 6, 1), (0, 0, down(5.0), 1)], [(0, 0, 5, 1), (0, 0, up(5.0), 1), (5, 0, 9, 1)]),
+    ]
+    # Beside a box 2**54 wide, x1 - widest is not a float for an odd x1.
+    wide = (-_BIG, 0, _BIG, 1)
+    big = [
+        ([(_BIG - 1, 0, _BIG, 1), (_BIG - 2, 0, _BIG, 1)], [wide, (_BIG - 2, 0, _BIG, 1)]),
+        ([(_BIG - 3, 0, _BIG - 1, 1)], [(-_BIG, 0, -_BIG + 1, 1), wide, (_BIG - 2, 0, _BIG, 1)]),
+        ([(-_BIG, 0, -_BIG + 2, 1), (down(_BIG), 0, _BIG, 1)], [(-_BIG, 0, -_BIG + 1, 1), wide]),
+        ([wide, (-_BIG + 1, 0, -_BIG + 3, 1)], [(_BIG - 4, 0, _BIG - 2, 1), (-_BIG, 0, -_BIG + 2, 1)]),
+    ]
+    return ulp + big
+
+
+class TestPrunedMatching:
+    """match_frame scores only boxes that can overlap, with the same result as scoring all."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(strip_frames())
+    def test_equals_greedy_reference(self, case):
+        detections, truth, iou_threshold = case
+        assert match_frame(detections, truth, iou_threshold) == greedy_match_reference(
+            detections, truth, iou_threshold
+        )
+
+    @pytest.mark.parametrize("det_boxes, truth_boxes", _edge_cases())
+    @pytest.mark.parametrize("iou_threshold", (0.0, 1e-17, 0.5, 1.0))
+    def test_edges_one_ulp_apart_and_near_2_to_the_53(self, det_boxes, truth_boxes, iou_threshold):
+        detections = [det(0, *box, 0.5) for box in det_boxes]
+        truth = [gt(0, *box, object_id=i) for i, box in enumerate(truth_boxes)]
+        for order in (truth, truth[::-1]):
+            assert match_frame(detections, order, iou_threshold) == greedy_match_reference(
+                detections, order, iou_threshold
+            )
+
+    def test_one_ulp_of_overlap_is_a_match_at_gate_zero(self):
+        down = math.nextafter(1.0, 0.0)
+        assert match_frame([det(0, down, 0, 2, 1)], [gt(0, 0, 0, 1, 1)], 0.0) == (1, 0, 0)
+        assert match_frame([det(0, 1, 0, 2, 1)], [gt(0, 0, 0, 1, 1)], 0.0) == (0, 1, 1)
+
+    def test_dense_crowd_frame_at_every_sweep_threshold(self):
+        cfg = preset_config("large", num_people=100, frame_count=1, rng_seed=0)
+        scn = generate(cfg)
+        assert len(scn.ground_truth) == 100 and len(scn.detections) > 50
+        for threshold in NINE_THRESHOLDS:
+            kept = [d for d in scn.detections if d.confidence >= threshold]
+            assert match_frame(kept, scn.ground_truth) == greedy_match_reference(
+                kept, scn.ground_truth, 0.5
+            )
 
 
 class TestCountTn:

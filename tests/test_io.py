@@ -1,10 +1,12 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from cctrack import io
 from cctrack.evaluation import GroundTruthRecord
 from cctrack.geometry import BoundingBox
 from cctrack.io import (
@@ -20,6 +22,7 @@ from cctrack.io import (
 )
 
 from conftest import det
+from oracles import read_detections_reference
 
 
 class TestDetectionsJsonl:
@@ -446,3 +449,138 @@ class TestAnyBytes:
     @given(_spliced(_PGM_STARTS))
     def test_read_pgm(self, input_file, blob):
         _parses_or_format_error(read_pgm, input_file, blob)
+
+
+# Values at and past each bound the fast path tests, and values of other
+# types. The validator takes some of them (ints as coordinates or scores,
+# frames past 2**53) and rejects the rest, each with its own message.
+_ANY = ("true", "null", '"0"', "[]", "{}", "NaN", "Infinity", "-Infinity", "1e400")
+_INTEGERS = ("-1", "0", "1.0", str(2**53 - 1), str(2**53), str(2**1024), "-" + str(2**1100))
+_ODD_VALUES = {
+    "frame": _ANY + _INTEGERS,
+    "class": _ANY + _INTEGERS,
+    "score": _ANY + ("-0.5", "-0.0", "0", "1", "1.5", "1.0000000000000002", "-1e400"),
+    "bbox": _ANY + (
+        "0", "3", "-0.0", "-1e400", "9007199254740992.0", "9007199254740994.0",
+        "-9007199254740992.0", "-9007199254740994.0", str(2**53 + 1), str(-(2**53) - 1), str(2**1024),
+    ),
+}
+_COORDINATES = st.one_of(
+    st.floats(-20, 20, width=16),
+    st.sampled_from((0.0, -0.0, 2.0**53, -(2.0**53), 2.0**53 - 1, -(2.0**53) + 1, 1e-300)),
+)
+_MUTATIONS = (
+    "value", "value", "value", "inverted", "inverted", "extra key", "duplicate key", "missing key",
+    "two objects", "comma-joined", "cut", "BOM", "padding", "not UTF-8", "blank", "not an object",
+    "nested",
+)
+
+
+def _record(frame, bbox, score="0.5", class_id=0) -> bytes:
+    return f'{{"frame": {frame}, "bbox": {bbox}, "score": {score}, "class": {class_id}}}\n'.encode()
+
+
+@st.composite
+def _detection_line(draw, frame):
+    """One line of a detection file: a valid record, or one mutated as _MUTATIONS name."""
+    x1, x2 = sorted(draw(st.lists(_COORDINATES, min_size=2, max_size=2)))
+    y1, y2 = sorted(draw(st.lists(_COORDINATES, min_size=2, max_size=2)))
+    fields = {
+        "frame": str(frame),
+        "bbox": [repr(x1), repr(y1), repr(x2), repr(y2)],
+        "score": repr(draw(st.sampled_from((0.0, 0.25, 0.5, 1.0)))),
+        "class": str(draw(st.integers(0, 2))),
+    }
+    mutation = draw(st.sampled_from(_MUTATIONS)) if draw(st.integers(0, 3)) == 0 else None
+    if mutation == "value":
+        key = draw(st.sampled_from(("frame", "bbox", "score", "class")))
+        if key == "bbox":
+            fields["bbox"][draw(st.integers(0, 3))] = draw(st.sampled_from(_ODD_VALUES["bbox"]))
+        else:
+            fields[key] = draw(st.sampled_from(_ODD_VALUES[key]))
+    elif mutation == "inverted":  # x2 below x1, y2 below y1 or both, by as little as one ulp
+        for i in draw(st.sampled_from(((0,), (1,), (0, 1)))):
+            below = math.nextafter((x1, y1)[i], -math.inf) - draw(st.sampled_from((0.0, 0.5, 7.0)))
+            fields["bbox"][i + 2] = repr(below)
+    fields["bbox"] = "[" + ", ".join(fields["bbox"]) + "]"
+    if mutation == "missing key":
+        del fields[draw(st.sampled_from(sorted(fields)))]
+    text = "{" + ", ".join(f'"{key}": {value}' for key, value in fields.items()) + "}"
+    if mutation == "extra key":
+        text = text[:-1] + ', "note": [1, {"frame": -1}]}'
+    elif mutation == "duplicate key":
+        key = draw(st.sampled_from(("frame", "bbox", "score", "class")))
+        text = f'{{"{key}": {draw(st.sampled_from(_ODD_VALUES["frame"]))}, ' + text[1:]
+    elif mutation == "two objects":
+        text += " " + text
+    elif mutation == "comma-joined":
+        text += ", " + text
+    elif mutation == "cut":
+        cut = draw(st.integers(1, len(text) - 1))
+        text = text[:cut] + "\n" + text[cut:]
+    elif mutation == "BOM":
+        text = "\ufeff" + text
+    elif mutation == "padding":
+        text = draw(st.sampled_from(("\x0b", "\u00a0", " \t"))) + text + "\u00a0\x0b"
+    elif mutation == "blank":
+        text = draw(st.sampled_from(("", "   ", "\t")))
+    elif mutation == "not an object":
+        text = draw(st.sampled_from(("[1, 2]", "3", '"frame"', "null")))
+    elif mutation == "nested":
+        text = "[" * 5000
+    blob = text.encode("utf-8")
+    if mutation == "not UTF-8":
+        cut = draw(st.integers(0, len(blob)))
+        blob = blob[:cut] + draw(st.sampled_from((b"\xff", b"\xc3", b"\xed\xa0\x80"))) + blob[cut:]
+    return blob
+
+
+@st.composite
+def _detection_files(draw):
+    """Mostly valid records in frame order, with some lines mutated or two frames swapped."""
+    frames = sorted(draw(st.lists(st.integers(0, 4), max_size=8)))
+    if len(frames) > 1 and draw(st.integers(0, 3)) == 0:
+        i = draw(st.integers(0, len(frames) - 2))
+        frames[i], frames[i + 1] = frames[i + 1], frames[i]
+    return b"".join(draw(_detection_line(frame)) + b"\n" for frame in frames)
+
+
+def _outcome(reader, path):
+    try:
+        return [repr(detection) for detection in reader(path)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestReaderAgainstReference:
+    """The fast path takes a line only as the reader before it would have."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_detection_files())
+    @example(_record(0, "[5.0, 0.0, 4.999999999999999, 1.0]"))
+    @example(_record(0, "[0.0, 5.0, 1.0, 4.999999999999999]"))
+    @example(_record(0, "[-9007199254740994.0, 0.0, 1.0, 1.0]"))
+    @example(_record(0, "[0.0, 0.0, 1.0, 9007199254740994.0]"))
+    @example(_record(-1, "[0.0, 0.0, 1.0, 1.0]"))
+    @example(_record(0, "[0.0, 0.0, 1.0, 1.0]", "-0.5"))
+    @example(_record(0, "[0.0, 0.0, 1.0, 1.0]", "1.0000000000000002"))
+    @example(_record(0, "[0.0, 0.0, 1.0, 1.0]", class_id=-1))
+    @example(_record(0, "[0, 0, 5, 5]", "1") + _record(0, "[0.0, NaN, 5.0, 5.0]"))
+    @example(_record(2**53, "[0.0, 0.0, 1.0, 1.0]", class_id=2**60) + _record(1, "[0.0, 0.0, 1.0, 1.0]"))
+    @example(  # lines that decode as valid records only if joined by commas
+        b'{"frame": 0, "bbox": [1\n2, 3, 4], "score": 1.0, "class": 0}\n'
+        + _record(0, "[0.0, 0.0, 1.0, 1.0]").replace(b"\n", b", ") + b"{}\n"
+    )
+    def test_equal_detections_or_identical_format_error(self, input_file, blob):
+        input_file.write_bytes(blob)
+        expected = _outcome(read_detections_reference, input_file)
+        assert _outcome(read_detections, input_file) == expected
+        assert isinstance(expected, list) or expected[0] is FormatError
+
+    def test_written_records_never_reach_the_validator(self, tmp_path, monkeypatch):
+        records = [det(f // 3, 0.5 * f, -1.0, 0.5 * f + 3.25, 9.5, (f % 9) / 8, f % 2) for f in range(30)]
+        path = tmp_path / "d.jsonl"
+        write_detections(path, records)
+        expected = read_detections_reference(path)
+        monkeypatch.setattr(io, "_read_detection", None)
+        assert read_detections(path) == expected == records
