@@ -135,15 +135,17 @@ def _require_distinct(outputs: list[tuple], inputs: list[tuple]) -> None:
 
 
 def _frame_update_json(update: FrameUpdate) -> str:
-    return json.dumps(
-        {
-            "frame": update.frame_index,
-            "matched": [[tid, io.detection_record(det)] for tid, det in update.matched],
-            "registered": list(update.registered),
-            "disappeared_incremented": list(update.disappeared_incremented),
-            "deregistered": list(update.deregistered),
-            "correlated": list(update.correlated),
-        }
+    """One trace line: the update as JSON, in json.dumps's layout and key order."""
+    number = io.format_number
+    matched = ", ".join(
+        [f"[{number(tid)}, {io.detection_json(det)}]" for tid, det in update.matched]
+    )
+    return (
+        f'{{"frame": {number(update.frame_index)}, "matched": [{matched}], '
+        f'"registered": [{", ".join(map(number, update.registered))}], '
+        f'"disappeared_incremented": [{", ".join(map(number, update.disappeared_incremented))}], '
+        f'"deregistered": [{", ".join(map(number, update.deregistered))}], '
+        f'"correlated": [{", ".join(map(number, update.correlated))}]}}'
     )
 
 
@@ -261,8 +263,9 @@ def _cmd_track(args) -> int:
 
     with open(args.out, "w", encoding="utf-8") as handle:
         handle.write(",".join(io.TRAJECTORY_HEADER) + "\n")
+        number = io.format_number
         for tid, frame, cx, cy in rows:
-            handle.write(f"{tid},{frame},{io.format_number(cx)},{io.format_number(cy)}\n")
+            handle.write(f"{number(tid)},{number(frame)},{number(cx)},{number(cy)}\n")
     print(
         f"track: {frame_index} frames, {tracker.next_id} identities registered, "
         f"{len(tracker.live_tracks())} live at end -> {args.out}"

@@ -38,7 +38,12 @@ class FormatError(ValueError):
 
 
 def format_number(value) -> str:
-    """A CSV number: the shortest round-trip form of a float, numpy float64 too, else str."""
+    """An output number: the shortest round-trip form of a float, numpy float64 too, else str.
+
+    For a builtin int that is not a bool and for a finite float this is
+    exactly what json.dumps writes, since its encoder uses int.__repr__ and
+    float.__repr__ too.
+    """
     return float.__repr__(value) if isinstance(value, float) else str(value)
 
 
@@ -169,14 +174,14 @@ def read_detections(path: PathLike) -> list[Detection]:
     return detections
 
 
-def detection_record(det: Detection) -> dict:
-    """The JSON object of one detection line: {"frame", "bbox", "score", "class"}."""
-    return {
-        "frame": det.frame_index,
-        "bbox": list(det.bbox.as_tuple()),
-        "score": det.confidence,
-        "class": det.class_id,
-    }
+def detection_json(det: Detection) -> str:
+    """One detection as JSON, {"frame", "bbox", "score", "class"}, in json.dumps's layout."""
+    box = det.bbox
+    return (
+        f'{{"frame": {format_number(det.frame_index)}, "bbox": [{format_number(box.x1)}, '
+        f"{format_number(box.y1)}, {format_number(box.x2)}, {format_number(box.y2)}], "
+        f'"score": {format_number(det.confidence)}, "class": {format_number(det.class_id)}}}'
+    )
 
 
 def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
@@ -184,8 +189,7 @@ def write_detections(path: PathLike, detections: Iterable[Detection]) -> None:
     records = sorted(detections, key=attrgetter("frame_index"))  # stable: ties keep input order
     with open(path, "w", encoding="utf-8") as handle:
         for det in records:
-            handle.write(json.dumps(detection_record(det)))
-            handle.write("\n")
+            handle.write(f"{detection_json(det)}\n")
 
 
 def _csv_rows(handle, path: PathLike):
@@ -250,8 +254,12 @@ def write_ground_truth(path: PathLike, records: Iterable[GroundTruthRecord]) -> 
     with open(path, "w", encoding="utf-8") as handle:
         handle.write(",".join(GROUND_TRUTH_HEADER) + "\n")
         for record in ordered:
-            fields = (record.frame_index, record.object_id, *record.bbox.as_tuple())
-            handle.write(",".join(map(format_number, fields)) + "\n")
+            box = record.bbox
+            handle.write(
+                f"{format_number(record.frame_index)},{format_number(record.object_id)},"
+                f"{format_number(box.x1)},{format_number(box.y1)},"
+                f"{format_number(box.x2)},{format_number(box.y2)}\n"
+            )
 
 
 def write_pgm(path: PathLike, frame: np.ndarray) -> None:

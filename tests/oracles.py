@@ -7,20 +7,24 @@ once, in the six check_* functions of cctrack.selfcheck that back the
 `convcheck` subcommand, and tests/test_kernels.py runs those checks at
 seeds 0-4 and against planted kernel faults instead of re-deriving them.
 The detection reader's oracle is the reader before its fast path, kept
-word for word: every line through json.loads and the field checks.
+word for word: every line through json.loads and the field checks. The
+writers' oracles are the writers before they formatted lines themselves,
+also word for word: each detection and trace line through json.dumps of a
+dict, each ground-truth row joined from a tuple.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from operator import attrgetter
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from cctrack.correlation import _PEAK_TIE_EPS, CorrelationResult, _raster_bounds
 from cctrack.geometry import BoundingBox, Detection, euclidean, require_number
-from cctrack.io import _fail, _read_box, _utf8_lines
+from cctrack.io import GROUND_TRUTH_HEADER, _fail, _read_box, _utf8_lines
 from cctrack.tracker import AssociationResult
 
 
@@ -337,3 +341,50 @@ def read_detections_reference(path):
             box = _read_box(path, line_no, coords, "field 'bbox' invalid")
             detections.append(Detection(frame, box, score, class_id))
     return detections
+
+
+def format_number_reference(value) -> str:
+    """A CSV number: the shortest round-trip form of a float, numpy float64 too, else str."""
+    return float.__repr__(value) if isinstance(value, float) else str(value)
+
+
+def detection_record_reference(det: Detection) -> dict:
+    """The JSON object of one detection line: {"frame", "bbox", "score", "class"}."""
+    return {
+        "frame": det.frame_index,
+        "bbox": list(det.bbox.as_tuple()),
+        "score": det.confidence,
+        "class": det.class_id,
+    }
+
+
+def write_detections_reference(path, detections) -> None:
+    """Write detections as JSONL, sorted by frame with input order preserved."""
+    records = sorted(detections, key=attrgetter("frame_index"))  # stable: ties keep input order
+    with open(path, "w", encoding="utf-8") as handle:
+        for det in records:
+            handle.write(json.dumps(detection_record_reference(det)))
+            handle.write("\n")
+
+
+def write_ground_truth_reference(path, records) -> None:
+    """Write ground truth as CSV sorted by (frame, object_id)."""
+    ordered = sorted(records, key=lambda r: (r.frame_index, r.object_id))
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write(",".join(GROUND_TRUTH_HEADER) + "\n")
+        for record in ordered:
+            fields = (record.frame_index, record.object_id, *record.bbox.as_tuple())
+            handle.write(",".join(map(format_number_reference, fields)) + "\n")
+
+
+def frame_update_json_reference(update) -> str:
+    return json.dumps(
+        {
+            "frame": update.frame_index,
+            "matched": [[tid, detection_record_reference(det)] for tid, det in update.matched],
+            "registered": list(update.registered),
+            "disappeared_incremented": list(update.disappeared_incremented),
+            "deregistered": list(update.deregistered),
+            "correlated": list(update.correlated),
+        }
+    )

@@ -16,8 +16,11 @@ from hypothesis import strategies as st
 from cctrack.cli import _frame_update_json, main, parse_threshold_range
 from cctrack.evaluation import group_by_frame
 from cctrack.geometry import config_from_fields
-from cctrack.tracker import CentroidCorrelationTracker, TrackerConfig
+from cctrack.tracker import CentroidCorrelationTracker, FrameUpdate, TrackerConfig
 from cctrack.io import read_detections, read_ground_truth, write_frames, write_pgm
+
+from conftest import det, detections, output_ints
+from oracles import frame_update_json_reference
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -783,6 +786,27 @@ class TestTrack:
             "--out", str(tmp_path / "t.csv"),
         ])
         assert code == 2
+
+
+_id_lists = st.lists(output_ints, max_size=4).map(tuple)
+_FULL_UPDATE = FrameUpdate(
+    2**53,
+    ((0, det(2**53, -0.0, 5e-324, 1e-7, 1e16, 1.0, 2**53)),
+     (2**53, det(0, -(2.0**53), np.float64(0.1), np.float64(2.0**53), 2.0**53, np.float64(0.5)))),
+    (0, 1, 2**53), (3,), (4, 5), (6,),
+)
+
+
+class TestTraceLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(
+        FrameUpdate, output_ints, st.lists(st.tuples(output_ints, detections), max_size=4).map(tuple),
+        _id_lists, _id_lists, _id_lists, _id_lists,
+    ))
+    @example(FrameUpdate(0))
+    @example(_FULL_UPDATE)
+    def test_lines_are_what_json_dumps_wrote(self, update):
+        assert _frame_update_json(update) == frame_update_json_reference(update)
 
 
 class TestOutputsNeverOverwriteInputs:

@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from cctrack import io
 from cctrack.evaluation import GroundTruthRecord
-from cctrack.geometry import BoundingBox
+from cctrack.geometry import BoundingBox, Detection
 from cctrack.io import (
     FormatError,
+    format_number,
     read_detections,
     read_frames,
     read_ground_truth,
@@ -21,8 +23,12 @@ from cctrack.io import (
     write_pgm,
 )
 
-from conftest import det
-from oracles import read_detections_reference
+from conftest import boxes, det, detections, output_floats, output_ints
+from oracles import (
+    read_detections_reference,
+    write_detections_reference,
+    write_ground_truth_reference,
+)
 
 
 class TestDetectionsJsonl:
@@ -130,6 +136,19 @@ class TestDetectionsJsonl:
         path = tmp_path / "d.jsonl"
         write_detections(path, iter(records))
         assert read_detections(path) == [records[1], records[3], records[0], records[2]]
+
+    def test_numpy_fields_round_trip(self, tmp_path):
+        # The number rule of every writer: a float32 in its own shortest form, an int64 as str.
+        coords = [np.float32(v) for v in (0.1, 2.5, 30.7, 40.25)]
+        record = Detection(np.int64(3), BoundingBox(*coords), np.float32(0.3), np.int64(2))
+        path = tmp_path / "d.jsonl"
+        write_detections(path, [record])
+        line = '{"frame": 3, "bbox": [0.1, 2.5, 30.7, 40.25], "score": 0.3, "class": 2}\n'
+        assert path.read_text() == line
+        (back,) = read_detections(path)
+        assert (back.frame_index, back.class_id) == (3, 2)
+        assert [np.float32(v) for v in back.bbox.as_tuple()] == coords
+        assert np.float32(back.confidence) == np.float32(0.3)
 
 
 class TestGroundTruthCsv:
@@ -584,3 +603,39 @@ class TestReaderAgainstReference:
         expected = read_detections_reference(path)
         monkeypatch.setattr(io, "_read_detection", None)
         assert read_detections(path) == expected == records
+
+
+@pytest.fixture(scope="class")
+def output_dir(tmp_path_factory):
+    """One directory whose files every example of a test overwrites."""
+    return tmp_path_factory.mktemp("writers")
+
+
+class TestWritersAgainstReference:
+    """Lines formatted directly are byte for byte what json.dumps and a joined row wrote."""
+
+    @settings(max_examples=300)
+    @given(st.integers(-(2**64), 2**64) | output_floats())
+    def test_format_number_is_what_json_dumps_writes(self, value):
+        assert format_number(value) == json.dumps(value)
+
+    @settings(max_examples=100)
+    @given(output_floats())
+    def test_format_number_ignores_numpy_print_options(self, value):
+        # numpy's legacy printing makes str(float64) keep 12 digits; float.__repr__ keeps them all.
+        with np.printoptions(legacy="1.13"):
+            assert format_number(np.float64(value)) == json.dumps(float(value))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(detections, max_size=6))
+    def test_write_detections(self, output_dir, records):
+        write_detections(output_dir / "new", records)
+        write_detections_reference(output_dir / "old", records)
+        assert (output_dir / "new").read_bytes() == (output_dir / "old").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.builds(GroundTruthRecord, output_ints, boxes(), output_ints), max_size=6))
+    def test_write_ground_truth(self, output_dir, records):
+        write_ground_truth(output_dir / "new", records)
+        write_ground_truth_reference(output_dir / "old", records)
+        assert (output_dir / "new").read_bytes() == (output_dir / "old").read_bytes()
